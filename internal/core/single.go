@@ -36,7 +36,9 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
-	for _, id := range ans.Derivations[0].TupleSet() {
+	// Key order makes the tie-break between equally cheap tuples
+	// deterministic.
+	for _, id := range sortedEntries(ans.Derivations[0].TupleSet()) {
 		st.Checkpoint()
 		if err := checkCtx(ctx, s.Name(), best); err != nil {
 			return nil, err

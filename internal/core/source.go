@@ -297,8 +297,9 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 		if !ok || len(ans.Derivations) != 1 {
 			return nil, fmt.Errorf("core: unexpected provenance for %s", ref)
 		}
-		// Any single tuple of the path is optimal (cost 1).
-		for _, id := range ans.Derivations[0].TupleSet() {
+		// Any single tuple of the path is optimal (cost 1); take the
+		// first in key order so the answer is deterministic.
+		for _, id := range sortedEntries(ans.Derivations[0].TupleSet()) {
 			return &Solution{Deleted: []relation.TupleID{id}}, nil
 		}
 	}
