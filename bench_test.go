@@ -428,3 +428,53 @@ func BenchmarkCQEvaluate(b *testing.B) {
 		}
 	}
 }
+
+// perfbenchStar is the request benchmark's star family (high fan-out):
+// parse-free input for the layer micro-benchmarks below.
+func perfbenchStar() *workload.Workload {
+	return workload.Star(workload.StarConfig{
+		Seed: 1, Relations: 4, HubValues: 4, RowsPerRelation: 24, Queries: 3, AtomsPerQuery: 3,
+	})
+}
+
+// BenchmarkNewProblem measures the cold views layer on the star family:
+// evaluation with provenance, materialization, the inverted index and the
+// deletion check — everything a cold request pays before classification.
+func BenchmarkNewProblem(b *testing.B) {
+	w := perfbenchStar()
+	skel, err := core.NewProblem(w.DB, w.Queries, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	del := workload.SampleDeletion(skel.Views, 2, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewProblem(w.DB, w.Queries, del); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIsPivotForest measures the classify-layer pivot-forest check on
+// a warm derivative: a fresh Specialize of one pivot skeleton per
+// iteration, as a warm session request does before picking dp-tree.
+func BenchmarkIsPivotForest(b *testing.B) {
+	w := workload.Pivot(workload.PivotConfig{Seed: 1, Roots: 40, ChildrenPerRoot: 4, GrandPerChild: 3})
+	skel, err := core.NewProblem(w.DB, w.Queries, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	del := workload.SampleDeletion(skel.Views, 2, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := skel.Specialize(del)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !core.IsPivotForest(p) {
+			b.Fatal("pivot family must be a pivot forest")
+		}
+	}
+}
