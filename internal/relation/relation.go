@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -59,11 +60,23 @@ func (t Tuple) String() string {
 // tuples of the same arity, usable as a map key. Values are length-prefixed
 // so that no two distinct tuples collide.
 func (t Tuple) Encode() string {
-	var b strings.Builder
+	n := 0
 	for _, v := range t {
-		fmt.Fprintf(&b, "%d:%s;", len(v), string(v))
+		n += len(v) + 4
 	}
-	return b.String()
+	return string(t.AppendEncode(make([]byte, 0, n)))
+}
+
+// AppendEncode appends Encode's bytes to b and returns the extended slice.
+// A map lookup keyed by string(t.AppendEncode(buf[:0])) does not allocate.
+func (t Tuple) AppendEncode(b []byte) []byte {
+	for _, v := range t {
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
+		b = append(b, v...)
+		b = append(b, ';')
+	}
+	return b
 }
 
 // Project returns the sub-tuple at the given positions. It panics if a

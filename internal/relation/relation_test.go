@@ -379,3 +379,25 @@ func TestInsertDeleteRoundTripQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEncodeFormat pins the byte layout of Encode, which the canonical
+// tuple order is defined over.
+func TestEncodeFormat(t *testing.T) {
+	cases := []struct {
+		t    Tuple
+		want string
+	}{
+		{Tuple{}, ""},
+		{Tuple{""}, "0:;"},
+		{Tuple{"a", "bc"}, "1:a;2:bc;"},
+		{Tuple{"0123456789ab", "x;y"}, "12:0123456789ab;3:x;y;"},
+	}
+	for _, c := range cases {
+		if got := c.t.Encode(); got != c.want {
+			t.Errorf("Encode(%v) = %q, want %q", c.t, got, c.want)
+		}
+		if got := string(c.t.AppendEncode([]byte("p|"))); got != "p|"+c.want {
+			t.Errorf("AppendEncode(%v) = %q", c.t, got)
+		}
+	}
+}
