@@ -292,11 +292,11 @@ func BenchmarkMaintainerDelete(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := view.NewMaintainer(views)
-	ids := w.DB.AllTuples()
+	n := w.DB.NumIDs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := ids[i%len(ids)]
+		id := relation.TID(i % n)
 		m.Delete(id)
 		m.Undelete(id)
 	}
@@ -326,7 +326,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			for _, v := range views {
 				for _, ans := range v.Result.Answers() {
 					for _, d := range ans.Derivations {
-						n += len(d.TupleSet())
+						n += len(view.Distinct(nil, d))
 					}
 				}
 			}

@@ -42,8 +42,8 @@ func main() {
 	for _, v := range p.Views {
 		for _, ans := range v.Result.Answers() {
 			for _, d := range ans.Derivations {
-				for k := range d.TupleSet() {
-					if corrupt[k] {
+				for _, t := range d {
+					if corrupt[p.DB.ByID(t).Key()] {
 						p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
 					}
 				}

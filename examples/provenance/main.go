@@ -48,12 +48,23 @@ func main() {
 		{Relation: "T1", Tuple: relation.Tuple{"John", "TKDE"}},
 		{Relation: "T1", Tuple: relation.Tuple{"John", "TODS"}},
 	}
+	// The maintainer speaks tuple IDs and view-tuple ref IDs; resolve
+	// them through the instance and the views for display.
+	refs := func(ids []int) []view.TupleRef {
+		out := make([]view.TupleRef, len(ids))
+		for i, id := range ids {
+			out[i], _ = view.Resolve(views, id)
+		}
+		return out
+	}
 	for _, id := range steps {
-		died := m.Delete(id)
+		t, _ := w.DB.ID(id)
+		died := refs(m.Delete(t))
 		fmt.Printf("  delete %s -> %d view tuples died: %v\n", id, len(died), died)
 	}
 	fmt.Printf("  dead total: %d\n", m.DeadCount())
-	revived := m.Undelete(steps[1])
+	t, _ := w.DB.ID(steps[1])
+	revived := refs(m.Undelete(t))
 	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], revived)
 
 	// 4. The evaluator choice: acyclic queries can also run through the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"delprop/internal/relation"
 	"fmt"
 	"io"
 	"math/rand"
@@ -41,8 +42,12 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 				continue
 			}
 			plantedSet := make(map[string]bool, len(planted))
+			var plantedIDs relation.IDSet
 			for _, id := range planted {
 				plantedSet[id.Key()] = true
+				if t, ok := wl.DB.ID(id); ok {
+					plantedIDs.Add(t)
+				}
 			}
 			// Oracle feedback: every view tuple whose provenance touches a
 			// corrupt tuple is wrong; only a fraction is reported.
@@ -51,8 +56,8 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 				for _, ans := range v.Result.Answers() {
 					touched := false
 					for _, d := range ans.Derivations {
-						for k := range d.TupleSet() {
-							if plantedSet[k] {
+						for _, t := range d {
+							if plantedIDs.Has(t) {
 								touched = true
 							}
 						}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"sort"
 	"sync"
+
+	"delprop/internal/relation"
+	"delprop/internal/view"
 )
 
 // DualBound computes a lower bound on the optimal (weighted) view
@@ -21,55 +24,20 @@ func DualBound(p *Problem) (float64, error) {
 	if err := requireKeyPreserving(p, "dual-bound"); err != nil {
 		return 0, err
 	}
-	candSet := make(map[string]bool)
-	for _, id := range p.CandidateTuples() {
-		candSet[id.Key()] = true
+	var isCand relation.IDSet
+	for _, t := range p.candidates() {
+		isCand.Add(t)
 	}
 	// Capacity per candidate tuple: Σ over preserved view tuples s ∋ t of
 	// w_s / k_s (constraint (7) with v_s raised to its cap).
-	capacity := make(map[string]float64)
-	for _, ref := range p.PreservedRefs() {
-		ans, _ := p.Answer(ref)
-		if len(ans.Derivations) == 0 {
-			continue
-		}
-		path := ans.Derivations[0].TupleSet()
-		share := p.Weight(ref) / float64(len(path))
-		for tk := range path {
-			if candSet[tk] {
-				capacity[tk] += share
-			}
-		}
-	}
-	type request struct {
-		key  string
-		path []string
-	}
-	var reqs []request
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) == 0 {
-			continue
-		}
-		var path []string
-		for tk := range ans.Derivations[0].TupleSet() {
-			path = append(path, tk)
-		}
-		sort.Strings(path)
-		reqs = append(reqs, request{key: ref.Key(), path: path})
-	}
-	sort.Slice(reqs, func(i, j int) bool {
-		if len(reqs[i].path) != len(reqs[j].path) {
-			return len(reqs[i].path) < len(reqs[j].path)
-		}
-		return reqs[i].key < reqs[j].key
-	})
-	load := make(map[string]float64)
+	capacity := p.capacities(isCand, nil)
+	reqs := p.requests(isCand)
+	load := make([]float64, len(capacity))
 	total := 0.0
 	for _, r := range reqs {
 		delta := -1.0
-		for _, tk := range r.path {
-			slack := capacity[tk] - load[tk]
+		for _, t := range r.path {
+			slack := capacity[t] - load[t]
 			if delta < 0 || slack < delta {
 				delta = slack
 			}
@@ -77,12 +45,77 @@ func DualBound(p *Problem) (float64, error) {
 		if delta < 0 {
 			delta = 0
 		}
-		for _, tk := range r.path {
-			load[tk] += delta
+		for _, t := range r.path {
+			load[t] += delta
 		}
 		total += delta
 	}
 	return total, nil
+}
+
+// capacities returns, per tuple ID, Σ w_s / k_s over the preserved view
+// tuples s whose join path holds the tuple, counting only tuples in cands
+// and, when keep is non-nil, only the preserved view tuples it marks.
+func (p *Problem) capacities(cands relation.IDSet, keep []bool) []float64 {
+	capacity := make([]float64, p.DB.NumIDs())
+	p.requested()
+	var path []relation.TID
+	for _, v := range p.Views {
+		for pos, ans := range v.Result.Answers() {
+			id := v.Offset + pos
+			if p.Delta.Has(id) || (keep != nil && !keep[id]) || len(ans.Derivations) == 0 {
+				continue
+			}
+			path = view.Distinct(path[:0], ans.Derivations[0])
+			share := p.weight(id) / float64(len(path))
+			for _, t := range path {
+				if cands.Has(t) {
+					capacity[t] += share
+				}
+			}
+		}
+	}
+	return capacity
+}
+
+// request is one requested view tuple with its join path in canonical
+// tuple order.
+type request struct {
+	ref  int
+	key  string
+	path []relation.TID
+}
+
+// requests returns the requested view tuples' join paths restricted to
+// cands, ordered by path length and then by reference key (the
+// primal-dual processing order).
+func (p *Problem) requests(cands relation.IDSet) []request {
+	var reqs []request
+	for _, id := range p.requested() {
+		if id < 0 {
+			continue
+		}
+		ans := p.answer(id)
+		if len(ans.Derivations) == 0 {
+			continue
+		}
+		var path []relation.TID
+		for _, t := range view.Distinct(nil, ans.Derivations[0]) {
+			if cands.Has(t) {
+				path = append(path, t)
+			}
+		}
+		p.sortTuples(path)
+		ref, _ := view.Resolve(p.Views, id)
+		reqs = append(reqs, request{ref: id, key: string(ref.AppendKey(nil)), path: path})
+	}
+	sort.Slice(reqs, func(i, j int) bool {
+		if len(reqs[i].path) != len(reqs[j].path) {
+			return len(reqs[i].path) < len(reqs[j].path)
+		}
+		return reqs[i].key < reqs[j].key
+	})
+	return reqs
 }
 
 // Portfolio runs several solvers and returns the feasible solution with

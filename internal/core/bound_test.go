@@ -44,9 +44,8 @@ func TestDualBoundWeighted(t *testing.T) {
 	if p.Delta.Len() == 0 {
 		t.Skip("empty deletion")
 	}
-	p.Weights = map[string]float64{}
 	for _, ref := range p.PreservedRefs() {
-		p.Weights[ref.Key()] = 3
+		p.SetWeight(ref, 3)
 	}
 	lb, err := DualBound(p)
 	if err != nil {

@@ -36,7 +36,7 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if max == 0 {
 		max = 22
 	}
-	cands := p.CandidateTuples()
+	cands := p.candidates()
 	if len(cands) > max {
 		return nil, fmt.Errorf("%w: %d candidate tuples exceeds brute-force bound %d", ErrTooLarge, len(cands), max)
 	}
@@ -45,6 +45,8 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	bestCost := 0.0
 	n := len(cands)
 	scanned := 0
+	set := relation.NewIDSet(p.DB.NumIDs())
+	var del []relation.TID
 	for mask := 0; mask < 1<<n; mask++ {
 		if mask%checkEvery == 0 {
 			st.Checkpoint()
@@ -54,14 +56,15 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 				return nil, err
 			}
 		}
-		var del []relation.TupleID
+		clear(set)
+		del = del[:0]
 		for i, cand := range cands {
 			if mask&(1<<i) != 0 {
 				del = append(del, cand)
+				set.Add(cand)
 			}
 		}
-		sol := &Solution{Deleted: del}
-		rep := p.Evaluate(sol)
+		rep := p.evaluate(set, false)
 		var cost float64
 		if b.Balanced {
 			cost = rep.Balanced
@@ -72,7 +75,7 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 			cost = rep.SideEffect
 		}
 		if best == nil || cost < bestCost || (cost == bestCost && len(del) < len(best.Deleted)) {
-			best = sol
+			best = p.solution(del)
 			bestCost = cost
 			st.Incumbent(cost, len(del))
 		}

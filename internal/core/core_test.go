@@ -575,7 +575,10 @@ func TestWeightedSolvers(t *testing.T) {
 		if p.Delta.Len() == 0 {
 			continue
 		}
-		p.Weights = workload.SampleWeights(p.Views, p.Delta, 5, seed+100)
+		ws := workload.SampleWeights(p.Views, p.Delta, 5, seed+100)
+		for _, ref := range p.PreservedRefs() {
+			p.SetWeight(ref, ws[ref.Key()])
+		}
 		bf, err := (&BruteForce{}).Solve(context.Background(), p)
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"delprop/internal/relation"
 	"delprop/internal/view"
@@ -18,274 +19,299 @@ var ErrNotPivotForest = errors.New("core: instance is not a pivot forest")
 
 // pivotNode is one base tuple in the data dual forest.
 type pivotNode struct {
-	id       relation.TupleID
-	parent   *pivotNode
-	children []*pivotNode
-	// preservedWeight is the total weight of preserved view tuples whose
-	// join path ends at this node.
-	preservedWeight float64
-	// deltaEndpoints counts requested view tuples ending here.
-	deltaEndpoints int
-	// hasDelta marks components worth solving.
-	hasDelta bool
+	id       relation.TID
+	parent   int32 // -1 for a pivot
+	children []int32
 }
 
-// PivotForest is the data dual forest of Section IV.E: base tuples as
-// nodes, each view tuple a root-to-node path in some tree.
+// pivotLayout is the delta-independent part of the data dual forest of
+// Section IV.E: base tuples as nodes, each view tuple a root-to-node path
+// in some tree. A node's parent precedes it in nodes.
+type pivotLayout struct {
+	nodes []pivotNode
+	roots []int32
+	// end[ref] is the node where the view tuple's path ends.
+	end []int32
+}
+
+// forestProto memoizes the pivot-forest verdict and layout per skeleton.
+type forestProto struct {
+	once   sync.Once
+	layout *pivotLayout
+	err    error
+}
+
+// PivotForest is the data dual forest annotated for one request: the
+// preserved weight and the requested view tuples ending at every node.
 type PivotForest struct {
-	roots []*pivotNode
-	byKey map[string]*pivotNode
+	*pivotLayout
+	db *relation.Instance
+	// preservedWeight[n] is the total weight of preserved view tuples
+	// whose join path ends at node n.
+	preservedWeight []float64
+	// deltaEndpoints[n] counts requested view tuples ending at node n.
+	deltaEndpoints []int
+	// hasDelta marks subtrees worth solving.
+	hasDelta []bool
 }
 
 // Roots returns the pivot tuples, one per component.
 func (f *PivotForest) Roots() []relation.TupleID {
 	out := make([]relation.TupleID, len(f.roots))
 	for i, r := range f.roots {
-		out[i] = r.id
+		out[i] = f.db.ByID(f.nodes[r].id)
 	}
 	return out
 }
 
 // Size returns the number of nodes (base tuples appearing in views).
-func (f *PivotForest) Size() int { return len(f.byKey) }
-
-// refPath holds one view tuple's ordered join path.
-type refPath struct {
-	ref  view.TupleRef
-	path []relation.TupleID // pivot first
-}
-
-// rawRef is one view tuple with its (unique) derivation tuple set.
-type rawRef struct {
-	ref    view.TupleRef
-	tuples map[string]relation.TupleID
-}
+func (f *PivotForest) Size() int { return len(f.nodes) }
 
 // BuildPivotForest detects the pivot-forest structure, or returns
-// ErrNotPivotForest. The detection is data-driven, following the
-// definition of Section IV.E directly: within each connected component of
-// the data dual graph, a tuple's ancestors must be exactly the tuples
-// present in every derivation that contains it (all view tuples are root
-// paths, so everything above a tuple co-occurs with it). Each derivation
-// is therefore laid out by ascending ancestor-set size and merged into a
-// tuple tree, rejecting the instance as soon as a tuple would need two
-// parents or the containment order breaks.
+// ErrNotPivotForest, and annotates it with the problem's request and
+// weights. The structure depends only on the views, so it is detected
+// once per skeleton and shared by every Specialize derivative.
 func BuildPivotForest(p *Problem) (*PivotForest, error) {
 	if err := requireKeyPreserving(p, "dp-tree"); err != nil {
 		return nil, err
 	}
-	var refs []rawRef
+	layout, err := p.pivotLayout()
+	if err != nil {
+		return nil, err
+	}
+	f := &PivotForest{
+		pivotLayout:     layout,
+		db:              p.DB,
+		preservedWeight: make([]float64, len(layout.nodes)),
+		deltaEndpoints:  make([]int, len(layout.nodes)),
+		hasDelta:        make([]bool, len(layout.nodes)),
+	}
+	p.requested()
+	for ref, n := range layout.end {
+		if p.Delta.Has(ref) {
+			f.deltaEndpoints[n]++
+		} else {
+			f.preservedWeight[n] += p.weight(ref)
+		}
+	}
+	for n := len(layout.nodes) - 1; n >= 0; n-- {
+		if f.deltaEndpoints[n] > 0 {
+			f.hasDelta[n] = true
+		}
+		if par := layout.nodes[n].parent; par >= 0 && f.hasDelta[n] {
+			f.hasDelta[par] = true
+		}
+	}
+	return f, nil
+}
+
+// pivotLayout returns the skeleton's memoized forest layout.
+func (p *Problem) pivotLayout() (*pivotLayout, error) {
+	fp := &p.skeleton().forest
+	fp.once.Do(func() {
+		fp.layout, fp.err = buildPivotLayout(p)
+	})
+	return fp.layout, fp.err
+}
+
+// buildPivotLayout follows the definition of Section IV.E directly:
+// within each connected component of the data dual graph, a tuple's
+// ancestors must be exactly the tuples present in every derivation that
+// contains it (all view tuples are root paths, so everything above a
+// tuple co-occurs with it). Each derivation is therefore laid out by
+// ascending ancestor-set size and merged into a tuple tree, rejecting the
+// instance as soon as a tuple would need two parents or the containment
+// order breaks.
+func buildPivotLayout(p *Problem) (*pivotLayout, error) {
+	refs := make([][]relation.TID, p.TotalViewSize())
 	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
+		for pos, ans := range v.Result.Answers() {
 			if len(ans.Derivations) != 1 {
 				return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, len(ans.Derivations))
 			}
-			refs = append(refs, rawRef{
-				ref:    view.TupleRef{View: v.Index, Tuple: ans.Tuple},
-				tuples: ans.Derivations[0].TupleSet(),
-			})
+			refs[v.Offset+pos] = view.Distinct(nil, ans.Derivations[0])
 		}
 	}
-	// Union-find over tuple keys to find components.
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] == x {
+	// Union-find over tuple IDs to find components.
+	nt := p.DB.NumIDs()
+	parent := make([]int32, nt)
+	for i := range parent {
+		parent[i] = -1
+	}
+	var find func(x relation.TID) relation.TID
+	find = func(x relation.TID) relation.TID {
+		if relation.TID(parent[x]) == x {
 			return x
 		}
-		parent[x] = find(parent[x])
-		return parent[x]
+		root := find(relation.TID(parent[x]))
+		parent[x] = int32(root)
+		return root
 	}
-	add := func(x string) {
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
-		}
-	}
-	for _, r := range refs {
-		var first string
-		for k := range r.tuples {
-			add(k)
-			if first == "" {
-				first = k
-			} else {
-				parent[find(k)] = find(first)
+	for _, path := range refs {
+		for _, t := range path {
+			if parent[t] < 0 {
+				parent[t] = int32(t)
 			}
+			parent[find(t)] = int32(find(path[0]))
 		}
 	}
-	// Group refs by component root.
-	comps := make(map[string][]int)
-	var compOrder []string
-	for i, r := range refs {
-		var root string
-		for k := range r.tuples {
-			root = find(k)
-			break
-		}
-		if root == "" {
+	// Group refs by component, in first-seen order.
+	compOf := make([]int32, nt)
+	var comps [][]int
+	for ref, path := range refs {
+		if len(path) == 0 {
 			return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
 		}
-		if _, ok := comps[root]; !ok {
-			compOrder = append(compOrder, root)
+		root := find(path[0])
+		if compOf[root] == 0 {
+			comps = append(comps, nil)
+			compOf[root] = int32(len(comps))
 		}
-		comps[root] = append(comps[root], i)
+		c := compOf[root] - 1
+		comps[c] = append(comps[c], ref)
 	}
-	// The union-find representative is an arbitrary member (union order
-	// follows map iteration), so sorting by it would order components
-	// differently run to run. Sort by each component's minimum tuple key —
-	// canonical whatever the union order — so the forest layout, and with
-	// it the solution's deletion order, is identical across runs.
-	canon := make(map[string]string)
-	for _, r := range refs {
-		for k := range r.tuples {
-			root := find(k)
-			if c, ok := canon[root]; !ok || k < c {
-				canon[root] = k
-			}
-		}
-	}
-	sort.Slice(compOrder, func(a, b int) bool { return canon[compOrder[a]] < canon[compOrder[b]] })
-
-	forest := &PivotForest{byKey: make(map[string]*pivotNode)}
-	for _, root := range compOrder {
-		idxs := comps[root]
-		built, err := layoutComponent(refs, idxs)
-		if err != nil {
-			return nil, err
-		}
-		rootNode, err := mergePaths(forest.byKey, built)
-		if err != nil {
-			return nil, err
-		}
-		// Attach endpoint costs.
-		for _, rp := range built {
-			end := forest.byKey[rp.path[len(rp.path)-1].Key()]
-			if p.Delta.Contains(rp.ref) {
-				end.deltaEndpoints++
-			} else {
-				end.preservedWeight += p.Weight(rp.ref)
-			}
-		}
-		// Mark whether this component matters.
-		var mark func(n *pivotNode) bool
-		mark = func(n *pivotNode) bool {
-			has := n.deltaEndpoints > 0
-			for _, c := range n.children {
-				if mark(c) {
-					has = true
+	// Order components by their first tuple in canonical order, so the
+	// forest layout — and with it the solution's deletion order — does not
+	// depend on the union order.
+	rank := p.ranks()
+	first := make([]int32, len(comps))
+	for c, idxs := range comps {
+		first[c] = -1
+		for _, ref := range idxs {
+			for _, t := range refs[ref] {
+				if first[c] < 0 || rank[t] < first[c] {
+					first[c] = rank[t]
 				}
 			}
-			n.hasDelta = has
-			return has
 		}
-		mark(rootNode)
-		forest.roots = append(forest.roots, rootNode)
 	}
-	return forest, nil
+	order := make([]int, len(comps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
+
+	l := &pivotLayout{end: make([]int32, len(refs))}
+	nodeOf := make([]int32, nt)
+	for i := range nodeOf {
+		nodeOf[i] = -1
+	}
+	for _, c := range order {
+		paths, err := layoutComponent(p, refs, comps[c])
+		if err != nil {
+			return nil, err
+		}
+		if err := l.merge(p, nodeOf, comps[c], paths); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
 }
 
 // layoutComponent orders every derivation of the component as a root path
 // using ancestor sets: anc(t) = ∩{derivations containing t}. In a pivot
 // forest anc(t) is exactly the path from the pivot to t, so sorting each
-// derivation by |anc| (ties broken by tuple key, which is safe because
-// tuples with identical derivation membership have identical kill-sets)
-// yields a consistent layout; the containment of each path element in the
-// next one's ancestor set is verified.
-func layoutComponent(refs []rawRef, idxs []int) ([]refPath, error) {
-	// derivsOf[t] = indexes (into idxs) of derivations containing t.
-	derivsOf := make(map[string][]int)
-	ids := make(map[string]relation.TupleID)
-	for pos, i := range idxs {
-		for k, id := range refs[i].tuples {
-			derivsOf[k] = append(derivsOf[k], pos)
-			ids[k] = id
+// derivation by |anc| (ties broken by canonical tuple order, which is
+// safe because tuples with identical derivation membership have identical
+// kill-sets) yields a consistent layout; the containment of each path
+// element in the next one's ancestor set is verified.
+func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relation.TID, error) {
+	// derivsOf[t] = refs of the component's derivations containing t.
+	derivsOf := make(map[relation.TID][]int)
+	for _, ref := range idxs {
+		for _, t := range refs[ref] {
+			derivsOf[t] = append(derivsOf[t], ref)
 		}
 	}
-	// ancSize[t] = |∩ derivations containing t|, computed by counting how
-	// many tuples occur in every derivation of derivsOf[t].
-	ancOf := make(map[string]map[string]bool, len(derivsOf))
-	for k, ds := range derivsOf {
-		anc := make(map[string]bool)
-		first := refs[idxs[ds[0]]].tuples
-		for cand := range first {
+	// anc[t] = the tuples present in every derivation containing t.
+	anc := make(map[relation.TID][]relation.TID, len(derivsOf))
+	for t, ds := range derivsOf {
+		var in []relation.TID
+		for _, cand := range refs[ds[0]] {
 			inAll := true
-			for _, pos := range ds[1:] {
-				if _, ok := refs[idxs[pos]].tuples[cand]; !ok {
+			for _, ref := range ds[1:] {
+				if !containsTID(refs[ref], cand) {
 					inAll = false
 					break
 				}
 			}
 			if inAll {
-				anc[cand] = true
+				in = append(in, cand)
 			}
 		}
-		ancOf[k] = anc
+		anc[t] = in
 	}
-	var out []refPath
-	for _, i := range idxs {
-		r := refs[i]
-		keys := make([]string, 0, len(r.tuples))
-		for k := range r.tuples {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			sa, sb := len(ancOf[keys[a]]), len(ancOf[keys[b]])
+	rank := p.ranks()
+	out := make([][]relation.TID, len(idxs))
+	for i, ref := range idxs {
+		path := append([]relation.TID(nil), refs[ref]...)
+		sort.Slice(path, func(a, b int) bool {
+			sa, sb := len(anc[path[a]]), len(anc[path[b]])
 			if sa != sb {
 				return sa < sb
 			}
-			return keys[a] < keys[b]
+			return rank[path[a]] < rank[path[b]]
 		})
 		// Verify the root-path property: every element lies in the
 		// ancestor set of its successor.
-		for j := 0; j+1 < len(keys); j++ {
-			if !ancOf[keys[j+1]][keys[j]] {
-				return nil, fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, ids[keys[j]], ids[keys[j+1]])
+		for j := 0; j+1 < len(path); j++ {
+			if !containsTID(anc[path[j+1]], path[j]) {
+				return nil, fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, p.DB.ByID(path[j]), p.DB.ByID(path[j+1]))
 			}
 		}
-		path := make([]relation.TupleID, len(keys))
-		for j, k := range keys {
-			path[j] = ids[k]
-		}
-		out = append(out, refPath{ref: r.ref, path: path})
+		out[i] = path
 	}
 	return out, nil
 }
 
-// mergePaths merges root paths into a tree, requiring a unique parent per
-// tuple and a common root.
-func mergePaths(byKey map[string]*pivotNode, paths []refPath) (*pivotNode, error) {
-	getNode := func(id relation.TupleID) *pivotNode {
-		k := id.Key()
-		if n, ok := byKey[k]; ok {
+func containsTID(ids []relation.TID, t relation.TID) bool {
+	for _, x := range ids {
+		if x == t {
+			return true
+		}
+	}
+	return false
+}
+
+// merge merges one component's root paths into the layout, requiring a
+// unique parent per tuple and a common root. nodeOf maps tuple IDs to
+// nodes.
+func (l *pivotLayout) merge(p *Problem, nodeOf []int32, refs []int, paths [][]relation.TID) error {
+	node := func(t relation.TID) int32 {
+		if n := nodeOf[t]; n >= 0 {
 			return n
 		}
-		n := &pivotNode{id: id}
-		byKey[k] = n
+		n := int32(len(l.nodes))
+		l.nodes = append(l.nodes, pivotNode{id: t, parent: -1})
+		nodeOf[t] = n
 		return n
 	}
-	var root *pivotNode
-	for _, rp := range paths {
-		prev := getNode(rp.path[0])
-		if root == nil {
+	root := int32(-1)
+	for i, path := range paths {
+		prev := node(path[0])
+		if root < 0 {
 			root = prev
 		}
 		if prev != root {
-			return nil, fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, root.id, prev.id)
+			return fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, p.DB.ByID(l.nodes[root].id), p.DB.ByID(l.nodes[prev].id))
 		}
-		for _, id := range rp.path[1:] {
-			n := getNode(id)
-			if n.parent == nil && n != root {
-				n.parent = prev
-				prev.children = append(prev.children, n)
-			} else if n.parent != prev {
-				return nil, fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, id)
+		for _, t := range path[1:] {
+			n := node(t)
+			if l.nodes[n].parent < 0 && n != root {
+				l.nodes[n].parent = prev
+				l.nodes[prev].children = append(l.nodes[prev].children, n)
+			} else if l.nodes[n].parent != prev {
+				return fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, p.DB.ByID(t))
 			}
 			prev = n
 		}
+		l.end[refs[i]] = prev
 	}
-	if root.parent != nil {
-		return nil, fmt.Errorf("%w: pivot has a parent", ErrNotPivotForest)
+	if l.nodes[root].parent >= 0 {
+		return fmt.Errorf("%w: pivot has a parent", ErrNotPivotForest)
 	}
-	return root, nil
+	l.roots = append(l.roots, root)
+	return nil
 }
 
 // DPTree implements Algorithm 4 (DPTreeVSE): exact polynomial dynamic
@@ -322,78 +348,84 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	// The DP visits every forest node exactly once.
 	st.AddNodes(int64(forest.Size()))
-	sol := &Solution{}
+	var del []relation.TID
 	for _, root := range forest.roots {
 		st.Checkpoint()
 		if err := checkCtx(ctx, d.Name(), nil); err != nil {
 			return nil, err
 		}
-		if !root.hasDelta {
+		if !forest.hasDelta[root] {
 			continue
 		}
-		d.solveTree(root, sol)
+		del = d.solveTree(forest, root, del)
 	}
-	return sol, nil
+	return p.solution(del), nil
 }
 
-// subtreeWeight computes the preserved endpoint weight of the subtree.
-func subtreeWeight(n *pivotNode) float64 {
-	w := n.preservedWeight
-	for _, c := range n.children {
-		w += subtreeWeight(c)
-	}
-	return w
-}
-
-// solveTree runs the DP and appends the chosen deletions.
-func (d *DPTree) solveTree(root *pivotNode, sol *Solution) {
+// solveTree runs the DP on the tree under root and appends the chosen
+// deletions to del.
+func (d *DPTree) solveTree(f *PivotForest, root int32, del []relation.TID) []relation.TID {
 	type result struct {
 		cost   float64
 		delete bool
 	}
-	memo := make(map[*pivotNode]result)
-	var f func(n *pivotNode) float64
-	f = func(n *pivotNode) float64 {
+	memo := make(map[int32]*result)
+	// subtreeWeight is the preserved endpoint weight of the subtree.
+	var subtreeWeight func(n int32) float64
+	subtreeWeight = func(n int32) float64 {
+		w := f.preservedWeight[n]
+		for _, c := range f.nodes[n].children {
+			w += subtreeWeight(c)
+		}
+		return w
+	}
+	var solve func(n int32) float64
+	solve = func(n int32) float64 {
 		if r, ok := memo[n]; ok {
 			return r.cost
 		}
 		deleteCost := subtreeWeight(n)
 		keepCost := 0.0
-		if n.deltaEndpoints > 0 {
+		if f.deltaEndpoints[n] > 0 {
 			if d.Balanced {
-				keepCost += float64(n.deltaEndpoints)
+				keepCost += float64(f.deltaEndpoints[n])
 			} else {
 				keepCost = math.Inf(1)
 			}
 		}
 		if !math.IsInf(keepCost, 1) {
-			for _, c := range n.children {
-				keepCost += f(c)
+			for _, c := range f.nodes[n].children {
+				keepCost += solve(c)
 			}
 		}
-		r := result{cost: keepCost, delete: false}
+		r := &result{cost: keepCost}
 		if deleteCost < keepCost || math.IsInf(keepCost, 1) {
-			r = result{cost: deleteCost, delete: true}
+			r = &result{cost: deleteCost, delete: true}
 		}
 		memo[n] = r
 		return r.cost
 	}
-	f(root)
-	var collect func(n *pivotNode)
-	collect = func(n *pivotNode) {
+	solve(root)
+	var collect func(n int32)
+	collect = func(n int32) {
 		if memo[n].delete {
-			sol.Deleted = append(sol.Deleted, n.id)
+			del = append(del, f.nodes[n].id)
 			return
 		}
-		for _, c := range n.children {
+		for _, c := range f.nodes[n].children {
 			collect(c)
 		}
 	}
 	collect(root)
+	return del
 }
 
-// IsPivotForest reports whether Algorithm 4 applies to the problem.
+// IsPivotForest reports whether Algorithm 4 applies to the problem. The
+// verdict is memoized per skeleton.
 func IsPivotForest(p *Problem) bool {
-	_, err := BuildPivotForest(p)
+	if !p.IsKeyPreserving() {
+		return false
+	}
+	_, err := p.pivotLayout()
 	return err == nil
 }

@@ -14,35 +14,40 @@ import (
 // and the preserved view tuples it damages — the report a data steward
 // reviews before applying the repair.
 func ExplainSolution(p *Problem, sol *Solution) string {
-	deltaKeys := make(map[string]bool)
-	for _, ref := range p.Delta.Refs() {
-		deltaKeys[ref.Key()] = true
-	}
 	var b strings.Builder
 	rep := p.Evaluate(sol)
 	fmt.Fprintf(&b, "deletion of %d source tuples: %s\n", len(sol.Deleted), rep)
-	var ordered []string
-	byKey := make(map[string]int)
-	for i, id := range sol.Deleted {
-		ordered = append(ordered, id.Key())
-		byKey[id.Key()] = i
+	// Known tuples in canonical order; tuples outside the instance touch
+	// no view tuple and come last.
+	var known []relation.TID
+	var unknown []relation.TupleID
+	var seen relation.IDSet
+	for _, id := range sol.Deleted {
+		t, ok := p.DB.ID(id)
+		switch {
+		case !ok:
+			unknown = append(unknown, id)
+		case !seen.Has(t):
+			seen.Add(t)
+			known = append(known, t)
+		}
 	}
-	sort.Strings(ordered)
-	for _, k := range ordered {
-		id := sol.Deleted[byKey[k]]
+	p.sortTuples(known)
+	for _, t := range known {
 		var kills, damages []string
-		for _, occ := range p.Inverted().Occurrences(id) {
-			if deltaKeys[occ.Ref.Key()] {
-				kills = append(kills, occ.Ref.String())
+		for _, occ := range p.Inverted().Occurrences(t) {
+			ref, _ := view.Resolve(p.Views, occ.Ref)
+			if p.Delta.Has(occ.Ref) {
+				kills = append(kills, ref.String())
 			} else if occ.Critical {
-				damages = append(damages, fmt.Sprintf("%s (w=%v)", occ.Ref, p.Weight(occ.Ref)))
+				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, p.weight(occ.Ref)))
 			} else {
-				damages = append(damages, fmt.Sprintf("%s (survivable)", occ.Ref))
+				damages = append(damages, fmt.Sprintf("%s (survivable)", ref))
 			}
 		}
 		sort.Strings(kills)
 		sort.Strings(damages)
-		fmt.Fprintf(&b, "  delete %s\n", id)
+		fmt.Fprintf(&b, "  delete %s\n", p.DB.ByID(t))
 		if len(kills) > 0 {
 			fmt.Fprintf(&b, "    eliminates: %s\n", strings.Join(kills, ", "))
 		}
@@ -52,6 +57,9 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 		if len(kills) == 0 && len(damages) == 0 {
 			fmt.Fprintf(&b, "    touches no view tuple\n")
 		}
+	}
+	for _, id := range unknown {
+		fmt.Fprintf(&b, "  delete %s\n    touches no view tuple\n", id)
 	}
 	return b.String()
 }
@@ -67,17 +75,12 @@ func ExplainRequest(p *Problem, ref view.TupleRef) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, len(ans.Derivations))
 	for di, d := range ans.Derivations {
-		fmt.Fprintf(&b, "  derivation %d: %s\n", di+1, d)
-		set := d.TupleSet()
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			id := set[k]
-			rep := p.Evaluate(&Solution{Deleted: []relation.TupleID{id}})
-			fmt.Fprintf(&b, "    delete %s -> side-effect %v\n", id, rep.SideEffect)
+		fmt.Fprintf(&b, "  derivation %d: %s\n", di+1, d.Format(p.DB))
+		path := view.Distinct(nil, d)
+		p.sortTuples(path)
+		for _, t := range path {
+			rep := p.evaluateIDs([]relation.TID{t})
+			fmt.Fprintf(&b, "    delete %s -> side-effect %v\n", p.DB.ByID(t), rep.SideEffect)
 		}
 	}
 	return b.String(), nil

@@ -79,23 +79,28 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 // state at the start of the round: killed requested tuples, weighted
 // collateral, and derivations cut (ok=false when the probe cuts nothing).
 // The probe is delete/inspect/undelete, so m is unchanged on return.
-func probeCandidate(p *Problem, m *view.Maintainer, deltaRefs []view.TupleRef, id relation.TupleID, baseDerivs int) (score float64, ok bool) {
-	died := m.Delete(id)
+func probeCandidate(p *Problem, m *view.Maintainer, req []int, t relation.TID, baseDerivs int) (score float64, ok bool) {
+	died := m.Delete(t)
+	if p.weights != nil {
+		// Sum the collateral in canonical order so the float total does
+		// not depend on the maintainer's layout.
+		p.sortRefs(died)
+	}
 	killed := 0
 	extra := 0.0
 	for _, ref := range died {
-		if p.Delta.Contains(ref) {
+		if p.Delta.Has(ref) {
 			killed++
 		} else {
-			extra += p.Weight(ref)
+			extra += p.weight(ref)
 		}
 	}
 	alive := 0
-	for _, ref := range deltaRefs {
+	for _, ref := range req {
 		alive += m.AliveDerivations(ref)
 	}
 	cut := baseDerivs - alive
-	m.Undelete(id)
+	m.Undelete(t)
 	if cut == 0 {
 		return 0, false
 	}
@@ -121,14 +126,14 @@ func shardBounds(n, nw, w int) (lo, hi int) {
 
 func (g *Greedy) solveIncremental(ctx context.Context, p *Problem) (*Solution, error) {
 	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
+	cands := p.candidates()
 	m := p.NewMaintainer()
-	deltaRefs := p.Delta.Refs()
-	var chosen []relation.TupleID
+	req := p.requested()
+	var chosen []relation.TID
 
 	aliveBad := func() int {
 		n := 0
-		for _, ref := range deltaRefs {
+		for _, ref := range req {
 			if m.Alive(ref) {
 				n++
 			}
@@ -137,7 +142,7 @@ func (g *Greedy) solveIncremental(ctx context.Context, p *Problem) (*Solution, e
 	}
 	aliveDerivs := func() int {
 		n := 0
-		for _, ref := range deltaRefs {
+		for _, ref := range req {
 			n += m.AliveDerivations(ref)
 		}
 		return n
@@ -157,7 +162,7 @@ func (g *Greedy) solveIncremental(ctx context.Context, p *Problem) (*Solution, e
 		}
 	}
 
-	taken := make(map[string]bool)
+	taken := make([]bool, len(cands))
 	for {
 		st.Checkpoint()
 		if err := checkCtx(ctx, g.Name(), nil); err != nil {
@@ -171,9 +176,9 @@ func (g *Greedy) solveIncremental(ctx context.Context, p *Problem) (*Solution, e
 		var best int
 		var err error
 		if nw > 1 {
-			best, _, err = g.scoreParallel(ctx, p, clones, deltaRefs, cands, taken, baseDerivs)
+			best, _, err = g.scoreParallel(ctx, p, clones, req, cands, taken, baseDerivs)
 		} else {
-			best, _, err = g.scoreSerial(ctx, p, m, deltaRefs, cands, taken, baseDerivs)
+			best, _, err = g.scoreSerial(ctx, p, m, req, cands, taken, baseDerivs)
 		}
 		if err != nil {
 			return nil, err
@@ -181,25 +186,25 @@ func (g *Greedy) solveIncremental(ctx context.Context, p *Problem) (*Solution, e
 		if best == -1 {
 			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", bad)
 		}
-		id := cands[best]
-		taken[id.Key()] = true
-		m.Delete(id)
+		t := cands[best]
+		taken[best] = true
+		m.Delete(t)
 		for _, c := range clones {
-			c.Delete(id)
+			c.Delete(t)
 		}
-		chosen = append(chosen, id)
+		chosen = append(chosen, t)
 	}
-	return &Solution{Deleted: chosen}, nil
+	return p.solution(chosen), nil
 }
 
 // scoreSerial runs one scoring round over the remaining candidates on the
 // caller's maintainer, checkpointing every probeCheckEvery probes.
-func (g *Greedy) scoreSerial(ctx context.Context, p *Problem, m *view.Maintainer, deltaRefs []view.TupleRef, cands []relation.TupleID, taken map[string]bool, baseDerivs int) (best int, bestScore float64, err error) {
+func (g *Greedy) scoreSerial(ctx context.Context, p *Problem, m *view.Maintainer, req []int, cands []relation.TID, taken []bool, baseDerivs int) (best int, bestScore float64, err error) {
 	st := StatsFrom(ctx)
 	best, bestScore = -1, -1.0
 	probes := 0
-	for i, id := range cands {
-		if taken[id.Key()] {
+	for i, t := range cands {
+		if taken[i] {
 			continue
 		}
 		st.AddNodes(1)
@@ -210,7 +215,7 @@ func (g *Greedy) scoreSerial(ctx context.Context, p *Problem, m *view.Maintainer
 				return -1, 0, err
 			}
 		}
-		score, ok := probeCandidate(p, m, deltaRefs, id, baseDerivs)
+		score, ok := probeCandidate(p, m, req, t, baseDerivs)
 		if !ok {
 			continue
 		}
@@ -226,7 +231,7 @@ func (g *Greedy) scoreSerial(ctx context.Context, p *Problem, m *view.Maintainer
 // len(clones), w) against clones[w]; the merge walks shards in ascending
 // order keeping strictly greater scores, reproducing the serial
 // lowest-index tie-break exactly.
-func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.Maintainer, deltaRefs []view.TupleRef, cands []relation.TupleID, taken map[string]bool, baseDerivs int) (best int, bestScore float64, err error) {
+func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.Maintainer, req []int, cands []relation.TID, taken []bool, baseDerivs int) (best int, bestScore float64, err error) {
 	st := StatsFrom(ctx)
 	type shardResult struct {
 		idx   int
@@ -244,8 +249,7 @@ func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.M
 			localBest, localScore := -1, -1.0
 			probes := 0
 			for i := lo; i < hi; i++ {
-				id := cands[i]
-				if taken[id.Key()] {
+				if taken[i] {
 					continue
 				}
 				st.AddNodes(1)
@@ -257,7 +261,7 @@ func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.M
 						return
 					}
 				}
-				score, ok := probeCandidate(p, mw, deltaRefs, id, baseDerivs)
+				score, ok := probeCandidate(p, mw, req, cands[i], baseDerivs)
 				if !ok {
 					continue
 				}
@@ -284,34 +288,30 @@ func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.M
 
 func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) {
 	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
-	deleted := make(map[string]bool)
-	var chosen []relation.TupleID
+	cands := p.candidates()
+	req := p.requested()
+	var deleted relation.IDSet
+	var chosen []relation.TID
 
-	aliveBad := func() []view.TupleRef {
-		var out []view.TupleRef
-		for _, ref := range p.Delta.Refs() {
-			ans, ok := p.Answer(ref)
-			if !ok {
-				continue
-			}
-			if view.Survives(ans, deleted) {
-				out = append(out, ref)
+	aliveBad := func() int {
+		n := 0
+		for _, ref := range req {
+			if ref >= 0 && view.Survives(p.answer(ref), deleted) {
+				n++
 			}
 		}
-		return out
+		return n
 	}
 	aliveDerivations := func() int {
 		n := 0
-		for _, ref := range p.Delta.Refs() {
-			ans, ok := p.Answer(ref)
-			if !ok {
+		for _, ref := range req {
+			if ref < 0 {
 				continue
 			}
-			for _, d := range ans.Derivations {
+			for _, d := range p.answer(ref).Derivations {
 				hit := false
-				for _, id := range d {
-					if deleted[id.Key()] {
+				for _, t := range d {
+					if deleted.Has(t) {
 						hit = true
 						break
 					}
@@ -323,13 +323,13 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 		}
 		return n
 	}
-	preserved := p.PreservedRefs()
 	collateralWeight := func() float64 {
 		w := 0.0
-		for _, ref := range preserved {
-			ans, _ := p.Answer(ref)
-			if !view.Survives(ans, deleted) {
-				w += p.Weight(ref)
+		for _, v := range p.Views {
+			for pos, ans := range v.Result.Answers() {
+				if id := v.Offset + pos; !p.Delta.Has(id) && !view.Survives(ans, deleted) {
+					w += p.weight(id)
+				}
 			}
 		}
 		return w
@@ -341,16 +341,15 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 			return nil, err
 		}
 		bad := aliveBad()
-		if len(bad) == 0 {
+		if bad == 0 {
 			break
 		}
 		baseCollateral := collateralWeight()
 		baseDerivs := aliveDerivations()
 		best, bestScore := -1, -1.0
 		probes := 0
-		for i, id := range cands {
-			k := id.Key()
-			if deleted[k] {
+		for i, t := range cands {
+			if deleted.Has(t) {
 				continue
 			}
 			st.AddNodes(1)
@@ -361,11 +360,11 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 					return nil, err
 				}
 			}
-			deleted[k] = true
-			killed := len(bad) - len(aliveBad())
+			deleted.Add(t)
+			killed := bad - aliveBad()
 			cut := baseDerivs - aliveDerivations()
 			extra := collateralWeight() - baseCollateral
-			delete(deleted, k)
+			deleted.Remove(t)
 			if cut == 0 {
 				continue
 			}
@@ -375,10 +374,10 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 			}
 		}
 		if best == -1 {
-			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", len(bad))
+			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", bad)
 		}
-		deleted[cands[best].Key()] = true
+		deleted.Add(cands[best])
 		chosen = append(chosen, cands[best])
 	}
-	return &Solution{Deleted: chosen}, nil
+	return p.solution(chosen), nil
 }

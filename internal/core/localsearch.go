@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"delprop/internal/relation"
 )
@@ -47,24 +46,37 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	if passes == 0 {
 		passes = 4
 	}
-	current := map[string]relation.TupleID{}
+	// current is the working deletion: members, plus the same set as a
+	// bitset for scoring.
+	var current []relation.TID
+	var set relation.IDSet
+	add := func(t relation.TID) {
+		current = append(current, t)
+		set.Add(t)
+	}
+	remove := func(t relation.TID) {
+		for i, c := range current {
+			if c == t {
+				current = append(current[:i], current[i+1:]...)
+				break
+			}
+		}
+		set.Remove(t)
+	}
 	for _, id := range start.Deleted {
-		current[id.Key()] = id
-	}
-	toSolution := func() *Solution {
-		keys := make([]string, 0, len(current))
-		for k := range current {
-			keys = append(keys, k)
+		if t, ok := p.DB.ID(id); ok && !set.Has(t) {
+			add(t)
 		}
-		sort.Strings(keys)
-		sol := &Solution{}
-		for _, k := range keys {
-			sol.Deleted = append(sol.Deleted, current[k])
-		}
-		return sol
 	}
+	// sorted returns the members in canonical order.
+	sorted := func() []relation.TID {
+		out := append([]relation.TID(nil), current...)
+		p.sortTuples(out)
+		return out
+	}
+	toSolution := func() *Solution { return p.solution(sorted()) }
 	score := func() (float64, bool) {
-		rep := p.Evaluate(toSolution())
+		rep := p.evaluate(set, false)
 		return rep.SideEffect, rep.Feasible
 	}
 	bestCost, feasible := score()
@@ -74,20 +86,19 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		return start, nil
 	}
 	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
+	cands := p.candidates()
 	for pass := 0; pass < passes; pass++ {
 		// Each climbing pass is one restart of the sweep.
 		st.Restart()
 		improved := false
 		// Drop moves.
-		for k, id := range sortedEntries(current) {
-			_ = k
+		for _, t := range sorted() {
 			st.Checkpoint()
 			if err := checkCtx(ctx, ls.Name(), toSolution()); err != nil {
 				return nil, err
 			}
 			st.AddNodes(1)
-			delete(current, id.Key())
+			remove(t)
 			if c, ok := score(); ok && c <= bestCost {
 				if c < bestCost {
 					improved = true
@@ -96,29 +107,29 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 				bestCost = c
 				continue
 			}
-			current[id.Key()] = id
+			add(t)
 		}
 		// Swap moves: replace one deletion with one candidate.
-		for _, id := range sortedEntries(current) {
+		for _, t := range sorted() {
 			st.Checkpoint()
 			if err := checkCtx(ctx, ls.Name(), toSolution()); err != nil {
 				return nil, err
 			}
 			for _, alt := range cands {
-				if _, in := current[alt.Key()]; in || alt.Key() == id.Key() {
+				if set.Has(alt) || alt == t {
 					continue
 				}
 				st.AddNodes(1)
-				delete(current, id.Key())
-				current[alt.Key()] = alt
+				remove(t)
+				add(alt)
 				if c, ok := score(); ok && c < bestCost {
 					bestCost = c
 					improved = true
 					st.Incumbent(c, len(current))
 					break
 				}
-				delete(current, alt.Key())
-				current[id.Key()] = id
+				remove(alt)
+				add(t)
 			}
 		}
 		if !improved {
@@ -126,19 +137,4 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		}
 	}
 	return toSolution(), nil
-}
-
-// sortedEntries returns the map's values ordered by key for deterministic
-// iteration.
-func sortedEntries(m map[string]relation.TupleID) []relation.TupleID {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
 }

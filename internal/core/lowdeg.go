@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"delprop/internal/relation"
 )
 
 // LowDegTree implements Algorithm 2 (LowDegTreeVSE) for a fixed degree cap
@@ -31,34 +33,24 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	// Degree of a candidate tuple = number of preserved view tuples it is
 	// joined in.
-	allowed := make(map[string]bool)
-	deltaKeys := make(map[string]bool)
-	for _, ref := range p.Delta.Refs() {
-		deltaKeys[ref.Key()] = true
-	}
-	for _, id := range p.CandidateTuples() {
-		deg := 0
-		for _, occ := range p.Inverted().Occurrences(id) {
-			if !deltaKeys[occ.Ref.Key()] {
-				deg++
-			}
-		}
-		if deg <= l.Tau {
-			allowed[id.Key()] = true
+	allowed := relation.NewIDSet(p.DB.NumIDs())
+	for _, t := range p.candidates() {
+		if preservedDegree(p, t) <= l.Tau {
+			allowed.Add(t)
 		}
 	}
 	// Prune wide preserved view tuples: arity(r) > √‖V‖ (arity here is the
 	// number of base tuples on r's join path, as in Claim 2).
 	width := math.Sqrt(float64(p.TotalViewSize()))
-	keepPreserved := make(map[string]bool)
-	for _, ref := range p.PreservedRefs() {
-		ans, _ := p.Answer(ref)
-		k := 0
-		if len(ans.Derivations) > 0 {
-			k = len(ans.Derivations[0].TupleSet())
+	keepPreserved := make([]bool, p.TotalViewSize())
+	var path []relation.TID
+	for id := range keepPreserved {
+		if p.Delta.Has(id) {
+			continue
 		}
-		if float64(k) <= width {
-			keepPreserved[ref.Key()] = true
+		path = p.path(path[:0], id)
+		if float64(len(path)) <= width {
+			keepPreserved[id] = true
 		}
 	}
 	pd := &PrimalDual{
@@ -66,6 +58,17 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		restrictPreserved:  keepPreserved,
 	}
 	return pd.Solve(ctx, p)
+}
+
+// preservedDegree counts the preserved view tuples tuple t is joined in.
+func preservedDegree(p *Problem, t relation.TID) int {
+	deg := 0
+	for _, occ := range p.Inverted().Occurrences(t) {
+		if !p.Delta.Has(occ.Ref) {
+			deg++
+		}
+	}
+	return deg
 }
 
 // LowDegTreeTwo implements Algorithm 3 (LowDegTreeVSETwo): sweep the
@@ -85,19 +88,9 @@ func (l *LowDegTreeTwo) Solve(ctx context.Context, p *Problem) (*Solution, error
 	if err := requireKeyPreserving(p, l.Name()); err != nil {
 		return nil, err
 	}
-	deltaKeys := make(map[string]bool)
-	for _, ref := range p.Delta.Refs() {
-		deltaKeys[ref.Key()] = true
-	}
 	degSet := map[int]bool{0: true}
-	for _, id := range p.CandidateTuples() {
-		deg := 0
-		for _, occ := range p.Inverted().Occurrences(id) {
-			if !deltaKeys[occ.Ref.Key()] {
-				deg++
-			}
-		}
-		degSet[deg] = true
+	for _, t := range p.candidates() {
+		degSet[preservedDegree(p, t)] = true
 	}
 	taus := make([]int, 0, len(degSet))
 	for d := range degSet {

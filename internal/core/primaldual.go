@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"delprop/internal/relation"
-	"delprop/internal/view"
 )
 
 // PrimalDual implements Algorithm 1 (PrimeDualVSE): the primal-dual
@@ -37,10 +35,10 @@ type PrimalDual struct {
 	NoPrune bool
 	// restrictCandidates, if non-nil, limits deletable tuples (used by
 	// LowDegTree).
-	restrictCandidates map[string]bool
+	restrictCandidates relation.IDSet
 	// restrictPreserved, if non-nil, limits which preserved view tuples
-	// contribute capacity (LowDegTree prunes wide ones).
-	restrictPreserved map[string]bool
+	// (by ref ID) contribute capacity (LowDegTree prunes wide ones).
+	restrictPreserved []bool
 }
 
 // Name implements Solver.
@@ -58,73 +56,21 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if err := requireKeyPreserving(p, pd.Name()); err != nil {
 		return nil, err
 	}
-	cands := p.CandidateTuples()
-	if pd.restrictCandidates != nil {
-		var filtered []relation.TupleID
-		for _, id := range cands {
-			if pd.restrictCandidates[id.Key()] {
-				filtered = append(filtered, id)
-			}
+	var candSet relation.IDSet
+	for _, t := range p.candidates() {
+		if pd.restrictCandidates == nil || pd.restrictCandidates.Has(t) {
+			candSet.Add(t)
 		}
-		cands = filtered
 	}
-	candSet := make(map[string]bool, len(cands))
-	for _, id := range cands {
-		candSet[id.Key()] = true
-	}
+	capacity := p.capacities(candSet, pd.restrictPreserved)
+	// Path per requested view tuple (restricted to candidates), in a
+	// deterministic processing order: path length then key, approximating
+	// the paper's depth ordering on forest instances.
+	reqs := p.requests(candSet)
 
-	// Capacity per candidate tuple.
-	capacity := make(map[string]float64, len(cands))
-	for _, ref := range p.PreservedRefs() {
-		if pd.restrictPreserved != nil && !pd.restrictPreserved[ref.Key()] {
-			continue
-		}
-		ans, _ := p.Answer(ref)
-		if len(ans.Derivations) == 0 {
-			continue
-		}
-		path := ans.Derivations[0].TupleSet()
-		k := float64(len(path))
-		share := p.Weight(ref) / k
-		for tk := range path {
-			if candSet[tk] {
-				capacity[tk] += share
-			}
-		}
-	}
-
-	// Path per requested view tuple (restricted to candidates).
-	type request struct {
-		ref  view.TupleRef
-		path []string // tuple keys
-	}
-	var reqs []request
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) == 0 {
-			continue
-		}
-		var path []string
-		for tk := range ans.Derivations[0].TupleSet() {
-			if candSet[tk] {
-				path = append(path, tk)
-			}
-		}
-		sort.Strings(path)
-		reqs = append(reqs, request{ref: ref, path: path})
-	}
-	// Deterministic processing order; on forest instances order by path
-	// length then key, approximating the paper's depth ordering.
-	sort.Slice(reqs, func(i, j int) bool {
-		if len(reqs[i].path) != len(reqs[j].path) {
-			return len(reqs[i].path) < len(reqs[j].path)
-		}
-		return reqs[i].ref.Key() < reqs[j].ref.Key()
-	})
-
-	load := make(map[string]float64, len(cands))
-	saturated := make(map[string]bool)
-	var pickOrder []string
+	load := make([]float64, len(capacity))
+	var saturated relation.IDSet
+	var pickOrder []relation.TID
 	totalDual := 0.0
 	for ri, r := range reqs {
 		if ri%checkEvery == 0 {
@@ -142,8 +88,8 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		}
 		// Already hit?
 		hit := false
-		for _, tk := range r.path {
-			if saturated[tk] {
+		for _, t := range r.path {
+			if saturated.Has(t) {
 				hit = true
 				break
 			}
@@ -153,8 +99,8 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		}
 		// Raise v_r by the minimum slack along the path.
 		delta := -1.0
-		for _, tk := range r.path {
-			slack := capacity[tk] - load[tk]
+		for _, t := range r.path {
+			slack := capacity[t] - load[t]
 			if delta < 0 || slack < delta {
 				delta = slack
 			}
@@ -162,11 +108,11 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		if delta < 0 {
 			delta = 0
 		}
-		for _, tk := range r.path {
-			load[tk] += delta
-			if !saturated[tk] && load[tk] >= capacity[tk]-saturationEps {
-				saturated[tk] = true
-				pickOrder = append(pickOrder, tk)
+		for _, t := range r.path {
+			load[t] += delta
+			if !saturated.Has(t) && load[t] >= capacity[t]-saturationEps {
+				saturated.Add(t)
+				pickOrder = append(pickOrder, t)
 			}
 		}
 		totalDual += delta
@@ -181,16 +127,13 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 
 	// Reverse-delete prune: drop saturated tuples not needed to keep every
 	// requested view tuple covered.
-	chosen := make(map[string]bool, len(saturated))
-	for k := range saturated {
-		chosen[k] = true
-	}
+	chosen := append(relation.IDSet(nil), saturated...)
 	if !pd.NoPrune {
-		feasibleWithout := func(drop string) bool {
+		feasibleWithout := func(drop relation.TID) bool {
 			for _, r := range reqs {
 				covered := false
-				for _, tk := range r.path {
-					if tk != drop && chosen[tk] {
+				for _, t := range r.path {
+					if t != drop && chosen.Has(t) {
 						covered = true
 						break
 					}
@@ -202,25 +145,18 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 			return true
 		}
 		for i := len(pickOrder) - 1; i >= 0; i-- {
-			tk := pickOrder[i]
-			if feasibleWithout(tk) {
-				delete(chosen, tk)
+			t := pickOrder[i]
+			if feasibleWithout(t) {
+				chosen.Remove(t)
 			}
 		}
 	}
-
-	byKey := make(map[string]relation.TupleID, len(cands))
-	for _, id := range cands {
-		byKey[id.Key()] = id
+	var out []relation.TID
+	for _, t := range pickOrder {
+		if chosen.Has(t) {
+			out = append(out, t)
+		}
 	}
-	sol := &Solution{}
-	keys := make([]string, 0, len(chosen))
-	for k := range chosen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sol.Deleted = append(sol.Deleted, byKey[k])
-	}
-	return sol, nil
+	p.sortTuples(out)
+	return p.solution(out), nil
 }

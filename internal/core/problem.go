@@ -9,10 +9,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -25,26 +27,40 @@ import (
 // Problem is one instance of the deletion propagation problem: a source
 // database D, queries Q, their materialized views V, the deletion request
 // ΔV, and optional preservation weights on the view tuples to keep.
+//
+// Solvers work on dense IDs: base tuples by relation.TID, view tuples by
+// ref ID (view.View.Offset plus answer position). Solutions and reports
+// name tuples by value.
 type Problem struct {
 	DB      *relation.Instance
 	Queries []*cq.Query
 	Views   []*view.View
 	Delta   *view.Deletion
-	// Weights maps view.TupleRef keys of *preserved* view tuples to their
-	// preservation weight; absent keys default to 1.
-	Weights map[string]float64
 
+	// weights[ref] is the preservation weight of the view tuple with that
+	// ref ID; nil means every weight is 1.
+	weights []float64
+
+	// skel holds the artifacts shared by every Specialize derivative of
+	// the same skeleton. NewProblem creates it; Problem literals in tests
+	// fall back to computing on demand without memoization.
+	skel *skeleton
+}
+
+// skeleton holds everything derived from (database, queries, views) —
+// nothing here depends on Delta or weights.
+type skeleton struct {
 	inverted      *view.InvertedIndex
 	keyPreserving bool
 
-	// class and maint are lazily computed artifacts shared by every
-	// Specialize derivative of the same skeleton: classification is a
-	// property of (queries, schemas) and the maintainer prototype a
-	// property of the materialized views, so neither depends on Delta or
-	// Weights. Both are created by NewProblem; Problem literals in tests
-	// fall back to computing on demand without memoization.
-	class *classification
-	maint *maintainerProto
+	// rank[t] is tuple t's position in the canonical tuple order
+	// (TupleID.Key bytes); -1 for tuples outside every view.
+	rankOnce sync.Once
+	rank     []int32
+
+	class  classification
+	maint  maintainerProto
+	forest forestProto
 }
 
 // classification memoizes per-query classify verdicts for a skeleton.
@@ -54,8 +70,8 @@ type classification struct {
 	err   error
 }
 
-// maintainerProto memoizes a fully-built join-tree maintainer; callers
-// take isolated copies via Maintainer.Clone, never the prototype itself.
+// maintainerProto memoizes a fully-built maintainer; callers take
+// isolated copies via Maintainer.Clone, never the prototype itself.
 type maintainerProto struct {
 	once sync.Once
 	m    *view.Maintainer
@@ -87,26 +103,38 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 	if err := delta.Validate(views); err != nil {
 		return nil, err
 	}
-	p := &Problem{
-		DB:      db,
-		Queries: queries,
-		Views:   views,
-		Delta:   delta,
+	skel, err := newSkeleton(db, queries, views)
+	if err != nil {
+		return nil, err
 	}
-	p.inverted = view.BuildInvertedIndex(views)
-	p.keyPreserving = true
+	return &Problem{DB: db, Queries: queries, Views: views, Delta: delta, skel: skel}, nil
+}
+
+func newSkeleton(db *relation.Instance, queries []*cq.Query, views []*view.View) (*skeleton, error) {
+	s := &skeleton{inverted: view.BuildInvertedIndex(views), keyPreserving: true}
 	for _, q := range queries {
 		kp, err := q.IsKeyPreserving(cq.InstanceSchemas(db))
 		if err != nil {
 			return nil, err
 		}
 		if !kp {
-			p.keyPreserving = false
+			s.keyPreserving = false
 		}
 	}
-	p.class = &classification{}
-	p.maint = &maintainerProto{}
-	return p, nil
+	return s, nil
+}
+
+// skeleton returns the shared artifacts, computing them for a Problem
+// literal.
+func (p *Problem) skeleton() *skeleton {
+	if p.skel != nil {
+		return p.skel
+	}
+	s, err := newSkeleton(p.DB, p.Queries, p.Views)
+	if err != nil {
+		return &skeleton{inverted: view.BuildInvertedIndex(p.Views)}
+	}
+	return s
 }
 
 // QueryProperties returns the classify verdict for every query, computed
@@ -114,26 +142,21 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 // path must never re-run classification for a problem it already
 // classified.
 func (p *Problem) QueryProperties() ([]classify.Properties, error) {
-	compute := func() ([]classify.Properties, error) {
+	c := &p.skeleton().class
+	c.once.Do(func() {
 		schemas := cq.InstanceSchemas(p.DB)
 		props := make([]classify.Properties, len(p.Queries))
 		for i, q := range p.Queries {
 			pr, err := classify.Analyze(q, schemas, nil)
 			if err != nil {
-				return nil, err
+				c.err = err
+				return
 			}
 			props[i] = pr
 		}
-		return props, nil
-	}
-	if p.class == nil {
-		// Problem literal (tests): no shared holder to memoize into.
-		return compute()
-	}
-	p.class.once.Do(func() {
-		p.class.props, p.class.err = compute()
+		c.props = props
 	})
-	return p.class.props, p.class.err
+	return c.props, c.err
 }
 
 // NewMaintainer returns an isolated incremental maintainer over the
@@ -141,20 +164,19 @@ func (p *Problem) QueryProperties() ([]classify.Properties, error) {
 // call pays only the O(state) Clone so concurrent solves never share
 // mutable maintainer state.
 func (p *Problem) NewMaintainer() *view.Maintainer {
-	if p.maint == nil {
-		return view.NewMaintainer(p.Views)
-	}
-	p.maint.once.Do(func() {
-		p.maint.m = view.NewMaintainer(p.Views)
+	m := &p.skeleton().maint
+	m.once.Do(func() {
+		m.m = view.NewMaintainer(p.Views)
 	})
-	return p.maint.m.Clone()
+	return m.m.Clone()
 }
 
 // Specialize derives a new Problem against the same skeleton — database,
-// queries, materialized views, provenance index, classification and
-// maintainer prototype are shared by pointer — with a fresh deletion
-// request and no weights. It is the warm-session counterpart of
-// NewProblem: validation of delta against the views is the only work done.
+// queries, materialized views, provenance index, classification,
+// maintainer prototype and pivot-forest layout are shared by pointer —
+// with a fresh deletion request and no weights. It is the warm-session
+// counterpart of NewProblem: validation of delta against the views is the
+// only work done.
 func (p *Problem) Specialize(delta *view.Deletion) (*Problem, error) {
 	if delta == nil {
 		delta = view.NewDeletion()
@@ -162,53 +184,88 @@ func (p *Problem) Specialize(delta *view.Deletion) (*Problem, error) {
 	if err := delta.Validate(p.Views); err != nil {
 		return nil, err
 	}
-	return &Problem{
-		DB:            p.DB,
-		Queries:       p.Queries,
-		Views:         p.Views,
-		Delta:         delta,
-		inverted:      p.inverted,
-		keyPreserving: p.keyPreserving,
-		class:         p.class,
-		maint:         p.maint,
-	}, nil
+	return &Problem{DB: p.DB, Queries: p.Queries, Views: p.Views, Delta: delta, skel: p.skel}, nil
 }
 
 // IsKeyPreserving reports whether every query of the problem is
 // key-preserving.
-func (p *Problem) IsKeyPreserving() bool { return p.keyPreserving }
+func (p *Problem) IsKeyPreserving() bool { return p.skeleton().keyPreserving }
 
 // Inverted returns the tuple→view-tuple occurrence index.
-func (p *Problem) Inverted() *view.InvertedIndex { return p.inverted }
+func (p *Problem) Inverted() *view.InvertedIndex { return p.skeleton().inverted }
 
 // Weight returns the preservation weight of a view tuple (1 by default).
 func (p *Problem) Weight(ref view.TupleRef) float64 {
-	if p.Weights == nil {
+	id, ok := view.RefID(p.Views, ref)
+	if !ok {
 		return 1
 	}
-	if w, ok := p.Weights[ref.Key()]; ok {
-		return w
-	}
-	return 1
+	return p.weight(id)
 }
 
-// SetWeight assigns a preservation weight to a view tuple.
-func (p *Problem) SetWeight(ref view.TupleRef, w float64) {
-	if p.Weights == nil {
-		p.Weights = make(map[string]float64)
+// weight returns the preservation weight of the view tuple with ref ID id.
+func (p *Problem) weight(id int) float64 {
+	if p.weights == nil {
+		return 1
 	}
-	p.Weights[ref.Key()] = w
+	return p.weights[id]
+}
+
+// SetWeight assigns a preservation weight to a view tuple; references to
+// tuples outside the views are ignored.
+func (p *Problem) SetWeight(ref view.TupleRef, w float64) {
+	id, ok := view.RefID(p.Views, ref)
+	if !ok {
+		return
+	}
+	if p.weights == nil {
+		p.weights = make([]float64, p.TotalViewSize())
+		for i := range p.weights {
+			p.weights[i] = 1
+		}
+	}
+	p.weights[id] = w
+}
+
+// RequestKey identifies the per-request inputs of a problem — the
+// requested view tuples and the weights that differ from 1 — by ref ID. Two
+// problems specialized from one skeleton with equal keys have the same
+// objective, so it keys caches of request-dependent results.
+func (p *Problem) RequestKey() string {
+	ids := append([]int(nil), p.requested()...)
+	sort.Ints(ids)
+	var b []byte
+	for _, id := range ids {
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, ',')
+	}
+	for id, w := range p.weights {
+		if w != 1 {
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(id), 10)
+			b = append(b, '=')
+			b = strconv.AppendFloat(b, w, 'g', -1, 64)
+		}
+	}
+	return string(b)
+}
+
+// requested returns the ref IDs of ΔV in request order (-1 for a request
+// naming no view tuple), resolving the request on first use.
+func (p *Problem) requested() []int {
+	p.Delta.Bind(p.Views)
+	return p.Delta.IDs()
 }
 
 // PreservedRefs returns V \ ΔV: every view tuple not requested for
 // deletion, in deterministic (view, answer) order.
 func (p *Problem) PreservedRefs() []view.TupleRef {
+	p.requested()
 	var out []view.TupleRef
 	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if !p.Delta.Contains(ref) {
-				out = append(out, ref)
+		for pos, ans := range v.Result.Answers() {
+			if !p.Delta.Has(v.Offset + pos) {
+				out = append(out, view.TupleRef{View: v.Index, Tuple: ans.Tuple})
 			}
 		}
 	}
@@ -229,33 +286,125 @@ func (p *Problem) Answer(ref view.TupleRef) (*cq.Answer, bool) {
 	return p.Views[ref.View].Result.Lookup(ref.Tuple)
 }
 
-// CandidateTuples returns the base tuples occurring in some derivation of
-// some requested view tuple — the only deletions that can ever help, since
-// any other deletion leaves ΔV intact and can only add collateral damage.
-// The result is sorted by tuple key for determinism.
-func (p *Problem) CandidateTuples() []relation.TupleID {
-	seen := make(map[string]relation.TupleID)
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok {
+// answer returns the provenance answer of the view tuple with ref ID id.
+func (p *Problem) answer(id int) *cq.Answer {
+	_, ans := view.Resolve(p.Views, id)
+	return ans
+}
+
+// path returns the distinct tuples of the first derivation of ref ID id —
+// the join path, for key-preserving queries — appended to buf.
+func (p *Problem) path(buf []relation.TID, id int) []relation.TID {
+	ans := p.answer(id)
+	if len(ans.Derivations) == 0 {
+		return buf
+	}
+	return view.Distinct(buf, ans.Derivations[0])
+}
+
+// ranks returns the canonical order of the tuples in the views: rank[t]
+// is t's position when sorted by TupleID.Key bytes. Built once per
+// skeleton, it replaces every Key-string sort and tie-break.
+func (p *Problem) ranks() []int32 {
+	s := p.skeleton()
+	s.rankOnce.Do(func() {
+		ids := s.inverted.Tuples()
+		var keys []byte
+		ends := make([]int, len(ids))
+		for i, id := range ids {
+			keys = p.DB.ByID(id).AppendKey(keys)
+			ends[i] = len(keys)
+		}
+		key := func(i int) []byte {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			return keys[start:ends[i]]
+		}
+		order := make([]int, len(ids))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return bytes.Compare(key(order[a]), key(order[b])) < 0 })
+		s.rank = make([]int32, p.DB.NumIDs())
+		for i := range s.rank {
+			s.rank[i] = -1
+		}
+		for r, i := range order {
+			s.rank[ids[i]] = int32(r)
+		}
+	})
+	return s.rank
+}
+
+// sortTuples orders tuple IDs canonically: by rank, falling back to the
+// key itself for tuples outside every view (inserted after the skeleton
+// was built, say), which rank agrees with.
+func (p *Problem) sortTuples(ids []relation.TID) {
+	rank := p.ranks()
+	ranked := func(t relation.TID) bool { return int(t) < len(rank) && rank[t] >= 0 }
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := ids[i], ids[j]
+		if ranked(a) && ranked(b) {
+			return rank[a] < rank[b]
+		}
+		return p.DB.ByID(a).Key() < p.DB.ByID(b).Key()
+	})
+}
+
+// sortRefs orders ref IDs canonically, by TupleRef.Key bytes.
+func (p *Problem) sortRefs(ids []int) {
+	keys := make(map[int]string, len(ids))
+	for _, id := range ids {
+		ref, _ := view.Resolve(p.Views, id)
+		keys[id] = string(ref.AppendKey(nil))
+	}
+	sort.Slice(ids, func(i, j int) bool { return keys[ids[i]] < keys[ids[j]] })
+}
+
+// candidates returns the base tuples occurring in some derivation of
+// some requested view tuple, in canonical order.
+func (p *Problem) candidates() []relation.TID {
+	var seen relation.IDSet
+	var out []relation.TID
+	for _, id := range p.requested() {
+		if id < 0 {
 			continue
 		}
-		for _, d := range ans.Derivations {
-			for k, id := range d.TupleSet() {
-				seen[k] = id
+		for _, d := range p.answer(id).Derivations {
+			for _, t := range d {
+				if !seen.Has(t) {
+					seen.Add(t)
+					out = append(out, t)
+				}
 			}
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
+	p.sortTuples(out)
+	return out
+}
+
+// CandidateTuples returns the base tuples occurring in some derivation of
+// some requested view tuple — the only deletions that can ever help, since
+// any other deletion leaves ΔV intact and can only add collateral damage.
+// The result is in canonical order (by tuple key) for determinism.
+func (p *Problem) CandidateTuples() []relation.TupleID {
+	return p.tupleIDs(p.candidates())
+}
+
+// tupleIDs resolves tuple IDs to identities.
+func (p *Problem) tupleIDs(ids []relation.TID) []relation.TupleID {
+	out := make([]relation.TupleID, len(ids))
+	for i, id := range ids {
+		out[i] = p.DB.ByID(id)
 	}
 	return out
+}
+
+// solution builds a Solution from tuple IDs, in the given order.
+func (p *Problem) solution(ids []relation.TID) *Solution {
+	return &Solution{Deleted: p.tupleIDs(ids)}
 }
 
 // Solution is a proposed source deletion ΔD.
@@ -313,26 +462,53 @@ func (r Report) String() string {
 // Evaluate scores a solution using provenance (no re-evaluation of the
 // queries). Tests cross-check this against full re-evaluation.
 func (p *Problem) Evaluate(sol *Solution) Report {
-	set := view.DeletedSet(sol.Deleted)
-	rep := Report{DeletedCount: len(sol.Deleted)}
+	var set relation.IDSet
+	for _, id := range sol.Deleted {
+		if t, ok := p.DB.ID(id); ok {
+			set.Add(t)
+		}
+	}
+	rep := p.evaluate(set, true)
+	rep.DeletedCount = len(sol.Deleted)
+	return rep
+}
+
+// evaluate scores the deletion of the tuples in set, listing the
+// collateral view tuples when asked. DeletedCount is left to the caller.
+func (p *Problem) evaluate(set relation.IDSet, collateral bool) Report {
+	var rep Report
+	p.requested()
 	removedRequested := 0
 	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
+		for pos, ans := range v.Result.Answers() {
 			if view.Survives(ans, set) {
 				continue
 			}
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if p.Delta.Contains(ref) {
+			id := v.Offset + pos
+			if p.Delta.Has(id) {
 				removedRequested++
-			} else {
-				rep.Collateral = append(rep.Collateral, ref)
-				rep.SideEffect += p.Weight(ref)
+				continue
 			}
+			if collateral {
+				rep.Collateral = append(rep.Collateral, view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+			}
+			rep.SideEffect += p.weight(id)
 		}
 	}
 	rep.BadRemaining = p.Delta.Len() - removedRequested
 	rep.Feasible = rep.BadRemaining == 0
 	rep.Balanced = float64(rep.BadRemaining) + rep.SideEffect
+	return rep
+}
+
+// evaluateIDs scores the deletion of the given tuple IDs.
+func (p *Problem) evaluateIDs(ids []relation.TID) Report {
+	var set relation.IDSet
+	for _, id := range ids {
+		set.Add(id)
+	}
+	rep := p.evaluate(set, true)
+	rep.DeletedCount = len(ids)
 	return rep
 }
 

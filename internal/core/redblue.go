@@ -15,7 +15,31 @@ import (
 // key-preserving) join path goes through it.
 type redBlueEncoding struct {
 	inst   *setcover.Instance
-	tuples []relation.TupleID // set index -> base tuple
+	tuples []relation.TID // set index -> base tuple
+}
+
+// elementIndex numbers the requested view tuples in request order and the
+// preserved ones in (view, answer) order: blue[ref] and red[ref] are the
+// element indexes (-1 when the ref is not of that color), with the
+// preserved weights alongside.
+func elementIndex(p *Problem) (blue, red []int, redWeights []float64) {
+	n := p.TotalViewSize()
+	blue, red = make([]int, n), make([]int, n)
+	for i := range blue {
+		blue[i], red[i] = -1, -1
+	}
+	for i, id := range p.requested() {
+		if id >= 0 {
+			blue[id] = i
+		}
+	}
+	for id := range red {
+		if !p.Delta.Has(id) {
+			red[id] = len(redWeights)
+			redWeights = append(redWeights, p.weight(id))
+		}
+	}
+	return blue, red, redWeights
 }
 
 // buildRedBlue constructs the encoding. Preserved view tuples that no
@@ -24,33 +48,23 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	if err := requireKeyPreserving(p, "red-blue"); err != nil {
 		return nil, err
 	}
-	blueIdx := make(map[string]int)
-	for i, ref := range p.Delta.Refs() {
-		blueIdx[ref.Key()] = i
-	}
-	redIdx := make(map[string]int)
-	var redWeights []float64
-	for _, ref := range p.PreservedRefs() {
-		redIdx[ref.Key()] = len(redWeights)
-		redWeights = append(redWeights, p.Weight(ref))
-	}
+	blue, red, redWeights := elementIndex(p)
 	enc := &redBlueEncoding{inst: &setcover.Instance{
 		NumRed:     len(redWeights),
 		NumBlue:    p.Delta.Len(),
 		RedWeights: redWeights,
 	}}
-	for _, id := range p.CandidateTuples() {
-		s := setcover.Set{Name: id.String()}
-		for _, occ := range p.Inverted().Occurrences(id) {
-			k := occ.Ref.Key()
-			if b, ok := blueIdx[k]; ok {
+	for _, t := range p.candidates() {
+		s := setcover.Set{Name: p.DB.ByID(t).String()}
+		for _, occ := range p.Inverted().Occurrences(t) {
+			if b := blue[occ.Ref]; b >= 0 {
 				s.Blues = append(s.Blues, b)
-			} else if r, ok := redIdx[k]; ok {
+			} else if r := red[occ.Ref]; r >= 0 {
 				s.Reds = append(s.Reds, r)
 			}
 		}
 		enc.inst.Sets = append(enc.inst.Sets, s)
-		enc.tuples = append(enc.tuples, id)
+		enc.tuples = append(enc.tuples, t)
 	}
 	if err := enc.inst.Validate(); err != nil {
 		return nil, fmt.Errorf("core: red-blue encoding invalid: %w", err)
@@ -58,11 +72,12 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	return enc, nil
 }
 
-// decode maps a set-cover solution back to a source deletion.
-func (enc *redBlueEncoding) decode(sol setcover.Solution) *Solution {
+// decodeSets maps a set-cover solution over the given set tuples back to
+// a source deletion.
+func decodeSets(p *Problem, tuples []relation.TID, sol setcover.Solution) *Solution {
 	out := &Solution{}
 	for _, si := range sol.Chosen {
-		out.Deleted = append(out.Deleted, enc.tuples[si])
+		out.Deleted = append(out.Deleted, p.DB.ByID(tuples[si]))
 	}
 	return out
 }
@@ -104,7 +119,7 @@ func (r *RedBlue) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	// The sweep probes every set once per distinct red degree; that probe
 	// count is its "nodes expanded" equivalent.
 	st.AddNodes(int64(len(enc.inst.Sets)))
-	return enc.decode(sol), nil
+	return decodeSets(p, enc.tuples, sol), nil
 }
 
 // RedBlueExact solves the Claim 1 encoding exactly by branch and bound. It
@@ -139,13 +154,13 @@ func (r *RedBlueExact) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		if isCtxErr(err) {
 			var incumbent *Solution
 			if len(sol.Chosen) > 0 {
-				incumbent = enc.decode(sol)
+				incumbent = decodeSets(p, enc.tuples, sol)
 			}
 			return nil, interruption(ctx, r.Name(), incumbent)
 		}
 		return nil, fmt.Errorf("core: red-blue exact: %w", err)
 	}
-	out := enc.decode(sol)
+	out := decodeSets(p, enc.tuples, sol)
 	// The completed branch and bound is exact (Theorem 1 preserves cost),
 	// so the achieved side effect doubles as the proven optimum.
 	opt := p.Evaluate(out).SideEffect
@@ -187,45 +202,28 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 	if err := requireKeyPreserving(p, b.Name()); err != nil {
 		return nil, err
 	}
-	posIdx := make(map[string]int)
-	for i, ref := range p.Delta.Refs() {
-		posIdx[ref.Key()] = i
-	}
-	negIdx := make(map[string]int)
-	var negWeights []float64
-	for _, ref := range p.PreservedRefs() {
-		negIdx[ref.Key()] = len(negWeights)
-		negWeights = append(negWeights, p.Weight(ref))
-	}
+	pos, neg, negWeights := elementIndex(p)
 	pn := &setcover.PNPSCInstance{
 		NumPos:     p.Delta.Len(),
 		NumNeg:     len(negWeights),
 		NegWeights: negWeights,
 	}
-	var tuples []relation.TupleID
-	for _, id := range p.CandidateTuples() {
-		s := setcover.PNSet{Name: id.String()}
-		for _, occ := range p.Inverted().Occurrences(id) {
-			k := occ.Ref.Key()
-			if i, ok := posIdx[k]; ok {
+	tuples := p.candidates()
+	for _, t := range tuples {
+		s := setcover.PNSet{Name: p.DB.ByID(t).String()}
+		for _, occ := range p.Inverted().Occurrences(t) {
+			if i := pos[occ.Ref]; i >= 0 {
 				s.Positives = append(s.Positives, i)
-			} else if i, ok := negIdx[k]; ok {
+			} else if i := neg[occ.Ref]; i >= 0 {
 				s.Negatives = append(s.Negatives, i)
 			}
 		}
 		pn.Sets = append(pn.Sets, s)
-		tuples = append(tuples, id)
 	}
 	if err := pn.Validate(); err != nil {
 		return nil, fmt.Errorf("core: balanced encoding invalid: %w", err)
 	}
-	decode := func(sol setcover.Solution) *Solution {
-		out := &Solution{}
-		for _, si := range sol.Chosen {
-			out.Deleted = append(out.Deleted, tuples[si])
-		}
-		return out
-	}
+	decode := func(sol setcover.Solution) *Solution { return decodeSets(p, tuples, sol) }
 	var sol setcover.Solution
 	var err error
 	if b.Exact {
@@ -254,5 +252,5 @@ func BuildRedBlueEncoding(p *Problem) (*setcover.Instance, []relation.TupleID, e
 	if err != nil {
 		return nil, nil, err
 	}
-	return enc.inst, enc.tuples, nil
+	return enc.inst, p.tupleIDs(enc.tuples), nil
 }

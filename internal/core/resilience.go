@@ -40,24 +40,23 @@ func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, er
 	if err != nil {
 		return 0, nil, err
 	}
-	leftIdx := make(map[string]int)
-	rightIdx := make(map[string]int)
-	var leftIDs, rightIDs []relation.TupleID
+	leftIdx := make(map[relation.TID]int)
+	rightIdx := make(map[relation.TID]int)
+	var leftIDs, rightIDs []relation.TID
 	var edges [][2]int
 	for _, ans := range res.Answers() {
 		for _, d := range ans.Derivations {
 			l, r := d[0], d[1]
-			lk, rk := l.Key(), r.Key()
-			li, ok := leftIdx[lk]
+			li, ok := leftIdx[l]
 			if !ok {
 				li = len(leftIDs)
-				leftIdx[lk] = li
+				leftIdx[l] = li
 				leftIDs = append(leftIDs, l)
 			}
-			ri, ok := rightIdx[rk]
+			ri, ok := rightIdx[r]
 			if !ok {
 				ri = len(rightIDs)
-				rightIdx[rk] = ri
+				rightIdx[r] = ri
 				rightIDs = append(rightIDs, r)
 			}
 			edges = append(edges, [2]int{li, ri})
@@ -72,10 +71,10 @@ func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, er
 	}
 	sol := &Solution{}
 	for _, li := range left {
-		sol.Deleted = append(sol.Deleted, leftIDs[li])
+		sol.Deleted = append(sol.Deleted, db.ByID(leftIDs[li]))
 	}
 	for _, ri := range right {
-		sol.Deleted = append(sol.Deleted, rightIDs[ri])
+		sol.Deleted = append(sol.Deleted, db.ByID(rightIDs[ri]))
 	}
 	return len(sol.Deleted), sol, nil
 }

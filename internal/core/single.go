@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"delprop/internal/relation"
+	"delprop/internal/view"
 )
 
 // SingleTupleExact is the polynomial exact algorithm for the
@@ -36,23 +37,24 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
-	// Key order makes the tie-break between equally cheap tuples
+	// Canonical order makes the tie-break between equally cheap tuples
 	// deterministic.
-	for _, id := range sortedEntries(ans.Derivations[0].TupleSet()) {
+	path := view.Distinct(nil, ans.Derivations[0])
+	p.sortTuples(path)
+	for _, t := range path {
 		st.Checkpoint()
 		if err := checkCtx(ctx, s.Name(), best); err != nil {
 			return nil, err
 		}
 		st.AddNodes(1)
-		sol := &Solution{Deleted: []relation.TupleID{id}}
-		rep := p.Evaluate(sol)
+		rep := p.evaluateIDs([]relation.TID{t})
 		if !rep.Feasible {
 			// Cannot happen for a key-preserving single derivation;
 			// defensive.
 			continue
 		}
 		if best == nil || rep.SideEffect < bestCost {
-			best, bestCost = sol, rep.SideEffect
+			best, bestCost = p.solution([]relation.TID{t}), rep.SideEffect
 			st.Incumbent(bestCost, 1)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"math"
 	"sort"
 
+	"delprop/internal/cq"
 	"delprop/internal/relation"
+	"delprop/internal/view"
 )
 
 // This file implements the companion problem the paper's Tables II–III
@@ -18,19 +20,16 @@ import (
 // hitting set over those paths; for general conjunctive queries every
 // derivation of a requested tuple must be hit.
 
-// SourceWeights optionally assigns deletion costs to source tuples (keyed
-// by TupleID.Key); absent keys cost 1.
-type SourceWeights map[string]float64
+// SourceWeights optionally assigns deletion costs to source tuples; a nil
+// SourceWeights costs 1 per tuple.
+type SourceWeights func(relation.TupleID) float64
 
 // weightOf returns the deletion cost of a tuple.
 func (w SourceWeights) weightOf(id relation.TupleID) float64 {
 	if w == nil {
 		return 1
 	}
-	if v, ok := w[id.Key()]; ok {
-		return v
-	}
-	return 1
+	return w(id)
 }
 
 // SourceSideEffect evaluates the source-side-effect objective of a
@@ -62,25 +61,26 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if max == 0 {
 		max = 26
 	}
-	cands := p.CandidateTuples()
+	cands := p.candidates()
 	if len(cands) > max {
 		return nil, fmt.Errorf("%w: %d candidates exceeds source-exact bound %d", ErrTooLarge, len(cands), max)
 	}
-	idx := make(map[string]int, len(cands))
-	for i, id := range cands {
-		idx[id.Key()] = i
+	idx := make(map[relation.TID]int, len(cands))
+	cost := make([]float64, len(cands))
+	for i, t := range cands {
+		idx[t] = i
+		cost[i] = s.Weights.weightOf(p.DB.ByID(t))
 	}
 	// Collect the derivations to hit, as candidate-index sets.
 	var paths [][]int
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok {
+	for _, ref := range p.requested() {
+		if ref < 0 {
 			continue
 		}
-		for _, d := range ans.Derivations {
+		for _, d := range p.answer(ref).Derivations {
 			var path []int
-			for k := range d.TupleSet() {
-				path = append(path, idx[k])
+			for _, t := range view.Distinct(nil, d) {
+				path = append(path, idx[t])
 			}
 			sort.Ints(path)
 			paths = append(paths, path)
@@ -96,7 +96,7 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	toSolution := func(idxs []int) *Solution {
 		sol := &Solution{}
 		for _, ci := range idxs {
-			sol.Deleted = append(sol.Deleted, cands[ci])
+			sol.Deleted = append(sol.Deleted, p.DB.ByID(cands[ci]))
 		}
 		return sol
 	}
@@ -155,7 +155,7 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 				continue
 			}
 			chosen[ci] = true
-			curCost += s.Weights.weightOf(cands[ci])
+			curCost += cost[ci]
 			for pi, path := range paths {
 				for _, x := range path {
 					if x == ci {
@@ -179,7 +179,7 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 					}
 				}
 			}
-			curCost -= s.Weights.weightOf(cands[ci])
+			curCost -= cost[ci]
 			chosen[ci] = false
 		}
 	}
@@ -208,24 +208,27 @@ func (s *SourceGreedy) Name() string { return "source-greedy" }
 
 // Solve implements Solver.
 func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	cands := p.CandidateTuples()
+	cands := p.candidates()
 	type path struct {
-		tuples map[string]bool
+		tuples cq.Derivation
 		hit    bool
 	}
 	var paths []*path
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok {
+	for _, ref := range p.requested() {
+		if ref < 0 {
 			continue
 		}
-		for _, d := range ans.Derivations {
-			pt := &path{tuples: make(map[string]bool)}
-			for k := range d.TupleSet() {
-				pt.tuples[k] = true
-			}
-			paths = append(paths, pt)
+		for _, d := range p.answer(ref).Derivations {
+			paths = append(paths, &path{tuples: d})
 		}
+	}
+	has := func(d cq.Derivation, t relation.TID) bool {
+		for _, x := range d {
+			if x == t {
+				return true
+			}
+		}
+		return false
 	}
 	st := StatsFrom(ctx)
 	remaining := len(paths)
@@ -236,18 +239,18 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 			return nil, err
 		}
 		best, bestScore := -1, -1.0
-		for i, id := range cands {
+		for i, t := range cands {
 			st.AddNodes(1)
 			hits := 0
 			for _, pt := range paths {
-				if !pt.hit && pt.tuples[id.Key()] {
+				if !pt.hit && has(pt.tuples, t) {
 					hits++
 				}
 			}
 			if hits == 0 {
 				continue
 			}
-			score := float64(hits) / s.Weights.weightOf(id)
+			score := float64(hits) / s.Weights.weightOf(p.DB.ByID(t))
 			if score > bestScore {
 				bestScore, best = score, i
 			}
@@ -255,10 +258,10 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		if best == -1 {
 			return nil, fmt.Errorf("core: source-greedy stuck with %d derivations unhit", remaining)
 		}
-		id := cands[best]
-		sol.Deleted = append(sol.Deleted, id)
+		t := cands[best]
+		sol.Deleted = append(sol.Deleted, p.DB.ByID(t))
 		for _, pt := range paths {
-			if !pt.hit && pt.tuples[id.Key()] {
+			if !pt.hit && has(pt.tuples, t) {
 				pt.hit = true
 				remaining--
 			}
@@ -298,9 +301,10 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 			return nil, fmt.Errorf("core: unexpected provenance for %s", ref)
 		}
 		// Any single tuple of the path is optimal (cost 1); take the
-		// first in key order so the answer is deterministic.
-		for _, id := range sortedEntries(ans.Derivations[0].TupleSet()) {
-			return &Solution{Deleted: []relation.TupleID{id}}, nil
+		// first in canonical order so the answer is deterministic.
+		if path := view.Distinct(nil, ans.Derivations[0]); len(path) > 0 {
+			p.sortTuples(path)
+			return p.solution(path[:1]), nil
 		}
 	}
 	return (&SourceExact{}).Solve(ctx, p)

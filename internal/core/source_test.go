@@ -50,7 +50,7 @@ func TestSourceExactSharedTuple(t *testing.T) {
 	if !feasible || cost != 1 {
 		t.Errorf("shared-tuple optimum = %v feasible=%v, want 1 (delete T1(John,TKDE))", cost, feasible)
 	}
-	if sol.Deleted[0].Key() != (relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}).Key() {
+	if sol.Deleted[0].String() != "T1(John,TKDE)" {
 		t.Errorf("expected T1(John,TKDE), got %s", sol)
 	}
 }
@@ -58,9 +58,12 @@ func TestSourceExactSharedTuple(t *testing.T) {
 func TestSourceExactWeighted(t *testing.T) {
 	p := fig1Q4Problem(t)
 	// Make the T1 tuple expensive: optimum switches to the T2 tuple.
-	w := SourceWeights{
-		(relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}).Key(): 10,
-	}
+	w := SourceWeights(func(id relation.TupleID) float64 {
+		if id.String() == "T1(John,TKDE)" {
+			return 10
+		}
+		return 1
+	})
 	sol, err := (&SourceExact{Weights: w}).Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)

@@ -33,14 +33,14 @@ func TestSpecializeSharesSkeleton(t *testing.T) {
 	if p2.Delta != delta {
 		t.Error("specialized problem must adopt the supplied delta")
 	}
-	if p2.Weights != nil {
+	if p2.weights != nil {
 		t.Error("specialized problem must start with no weights")
 	}
 	if p.Delta.Len() != 0 {
 		t.Error("specializing must not mutate the parent's delta")
 	}
-	if p2.class != p.class || p2.maint != p.maint {
-		t.Error("specialized problem must share the lazy holders")
+	if p2.skel != p.skel {
+		t.Error("specialized problem must share the skeleton")
 	}
 }
 
@@ -118,14 +118,15 @@ func TestNewMaintainerIsolated(t *testing.T) {
 		t.Fatalf("%s is not an answer", ref)
 	}
 	for _, d := range ans.Derivations {
-		for _, id := range d.TupleSet() {
+		for _, id := range d {
 			m1.Delete(id)
 		}
 	}
-	if m1.Alive(ref) {
+	rid, _ := view.RefID(p.Views, ref)
+	if m1.Alive(rid) {
 		t.Error("deleting every derivation tuple must kill the answer on m1")
 	}
-	if !m2.Alive(ref) {
+	if !m2.Alive(rid) {
 		t.Error("deletions on one clone leaked into its sibling")
 	}
 	lit := &Problem{DB: p.DB, Queries: p.Queries, Views: p.Views, Delta: view.NewDeletion()}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"delprop/internal/relation"
 )
@@ -80,17 +79,17 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		st.AddNodes(1)
 		// The unidimensional candidate for atom ai: every fact this atom
 		// matches in a derivation of the requested answer.
-		seen := make(map[string]relation.TupleID)
+		var seen relation.IDSet
+		var del []relation.TID
 		for _, d := range ans.Derivations {
-			id := d[ai]
-			seen[id.Key()] = id
+			if t := d[ai]; !seen.Has(t) {
+				seen.Add(t)
+				del = append(del, t)
+			}
 		}
-		sol := &Solution{}
-		for _, id := range seen {
-			sol.Deleted = append(sol.Deleted, id)
-		}
-		sortSolution(sol)
-		rep := p.Evaluate(sol)
+		p.sortTuples(del)
+		sol := p.solution(del)
+		rep := p.evaluateIDs(del)
 		if !rep.Feasible {
 			// Deleting every fact the atom contributes always kills every
 			// derivation; infeasibility would be a logic bug.
@@ -106,11 +105,4 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		return nil, fmt.Errorf("core: query has no atoms")
 	}
 	return best, nil
-}
-
-// sortSolution orders deletions by key for determinism.
-func sortSolution(sol *Solution) {
-	sort.Slice(sol.Deleted, func(i, j int) bool {
-		return sol.Deleted[i].Key() < sol.Deleted[j].Key()
-	})
 }

@@ -301,11 +301,11 @@ func TestEvaluateFig1Q3(t *testing.T) {
 		t.Errorf("Joe/XML derivations = %d, want 1", len(ans.Derivations))
 	}
 	d := ans.Derivations[0]
-	if len(d) != 2 || d[0].Relation != "T1" || d[1].Relation != "T2" {
-		t.Errorf("derivation shape wrong: %v", d)
+	if len(d) != 2 || db.ByID(d[0]).Relation != "T1" || db.ByID(d[1]).Relation != "T2" {
+		t.Errorf("derivation shape wrong: %s", d.Format(db))
 	}
-	if !d.Uses(relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")}) {
-		t.Errorf("derivation misses T1(Joe,TKDE): %v", d)
+	if joe, _ := db.ID(relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")}); d[0] != joe {
+		t.Errorf("derivation misses T1(Joe,TKDE): %s", d.Format(db))
 	}
 }
 
@@ -517,7 +517,8 @@ func TestDerivationSemantics(t *testing.T) {
 	if !ok {
 		t.Fatal("missing target answer")
 	}
-	for _, id := range ans.Derivations[0] {
+	for _, tid := range ans.Derivations[0] {
+		id := db.ByID(tid)
 		db2 := db.Without([]relation.TupleID{id})
 		res2 := MustEvaluate(q4, db2)
 		if res2.Contains(target) {
@@ -532,23 +533,15 @@ func TestDerivationSemantics(t *testing.T) {
 }
 
 func TestDerivationHelpers(t *testing.T) {
-	d := Derivation{
-		{Relation: "A", Tuple: tup("1")},
-		{Relation: "B", Tuple: tup("2")},
-		{Relation: "A", Tuple: tup("1")},
+	db := relation.NewInstance(relation.MustSchema("A", []string{"a"}, []int{0}), relation.MustSchema("B", []string{"b"}, []int{0}))
+	db.MustInsert("A", "1")
+	db.MustInsert("B", "2")
+	d := Derivation{0, 1, 0}
+	if got := d.Format(db); got != "A(1) ⋈ B(2) ⋈ A(1)" {
+		t.Errorf("Format = %q", got)
 	}
-	if len(d.TupleSet()) != 2 {
-		t.Errorf("TupleSet = %v", d.TupleSet())
-	}
-	if !d.Uses(relation.TupleID{Relation: "B", Tuple: tup("2")}) {
-		t.Error("Uses false negative")
-	}
-	if d.Uses(relation.TupleID{Relation: "B", Tuple: tup("1")}) {
-		t.Error("Uses false positive")
-	}
-	d2 := Derivation{{Relation: "A", Tuple: tup("1")}}
-	if d.Key() == d2.Key() {
-		t.Error("Key collision")
+	if !d.Equal(Derivation{0, 1, 0}) || d.Equal(Derivation{0, 1}) || d.Equal(Derivation{0, 1, 1}) {
+		t.Error("Equal")
 	}
 }
 

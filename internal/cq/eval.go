@@ -8,48 +8,32 @@ import (
 	"delprop/internal/relation"
 )
 
-// Derivation is the join path of one answer: the base tuple matched by each
-// body atom, in body order. With self-joins the same base tuple may occur
-// for several atoms.
-type Derivation []relation.TupleID
+// Derivation is the join path of one answer: the ID of the base tuple
+// matched by each body atom, in body order. IDs belong to the instance
+// the result was evaluated over (Result.DB). With self-joins the same base
+// tuple may occur for several atoms.
+type Derivation []relation.TID
 
-// Key returns a canonical map key for the derivation.
-func (d Derivation) Key() string {
+// Format renders the derivation as T1(..) ⋈ T2(..), resolving IDs in db.
+func (d Derivation) Format(db *relation.Instance) string {
 	parts := make([]string, len(d))
 	for i, id := range d {
-		parts[i] = id.Key()
-	}
-	return strings.Join(parts, "&")
-}
-
-// TupleSet returns the distinct base tuples of the derivation, keyed by
-// TupleID.Key.
-func (d Derivation) TupleSet() map[string]relation.TupleID {
-	out := make(map[string]relation.TupleID, len(d))
-	for _, id := range d {
-		out[id.Key()] = id
-	}
-	return out
-}
-
-// Uses reports whether the derivation touches the given base tuple.
-func (d Derivation) Uses(id relation.TupleID) bool {
-	k := id.Key()
-	for _, t := range d {
-		if t.Key() == k {
-			return true
-		}
-	}
-	return false
-}
-
-// String renders the derivation as T1(..) ⋈ T2(..).
-func (d Derivation) String() string {
-	parts := make([]string, len(d))
-	for i, id := range d {
-		parts[i] = id.String()
+		parts[i] = db.ByID(id).String()
 	}
 	return strings.Join(parts, " ⋈ ")
+}
+
+// Equal reports whether two derivations match the same tuple per atom.
+func (d Derivation) Equal(e Derivation) bool {
+	if len(d) != len(e) {
+		return false
+	}
+	for i := range d {
+		if d[i] != e[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Answer is one view tuple: a head tuple together with every derivation
@@ -64,40 +48,49 @@ type Answer struct {
 // Result is the materialized result of evaluating a query: Q(D) plus
 // provenance.
 type Result struct {
-	Query   *Query
-	answers map[string]*Answer
-	order   []string
+	Query *Query
+	// DB is the instance the query was evaluated over; the derivations
+	// hold its tuple IDs.
+	DB      *relation.Instance
+	answers []*Answer
+	// index maps head-tuple encodings to positions in answers.
+	index map[string]int
 }
 
 // NumAnswers returns |Q(D)|.
 func (r *Result) NumAnswers() int { return len(r.answers) }
 
-// Answers returns all answers in first-derived order.
-func (r *Result) Answers() []*Answer {
-	out := make([]*Answer, 0, len(r.answers))
-	for _, k := range r.order {
-		out = append(out, r.answers[k])
-	}
-	return out
+// Answers returns all answers in first-derived order. The slice is shared
+// and must not be mutated.
+func (r *Result) Answers() []*Answer { return r.answers[:len(r.answers):len(r.answers)] }
+
+// Position returns the index of the head tuple's answer in Answers.
+func (r *Result) Position(t relation.Tuple) (int, bool) {
+	var buf [128]byte
+	i, ok := r.index[string(t.AppendEncode(buf[:0]))]
+	return i, ok
 }
 
 // Lookup returns the answer for the given head tuple, if present.
 func (r *Result) Lookup(t relation.Tuple) (*Answer, bool) {
-	a, ok := r.answers[t.Encode()]
-	return a, ok
+	i, ok := r.Position(t)
+	if !ok {
+		return nil, false
+	}
+	return r.answers[i], true
 }
 
 // Contains reports whether the head tuple is an answer.
 func (r *Result) Contains(t relation.Tuple) bool {
-	_, ok := r.answers[t.Encode()]
+	_, ok := r.Position(t)
 	return ok
 }
 
 // Tuples returns the answer tuples in first-derived order.
 func (r *Result) Tuples() []relation.Tuple {
-	out := make([]relation.Tuple, 0, len(r.answers))
-	for _, k := range r.order {
-		out = append(out, r.answers[k].Tuple)
+	out := make([]relation.Tuple, len(r.answers))
+	for i, a := range r.answers {
+		out[i] = a.Tuple
 	}
 	return out
 }
@@ -125,10 +118,9 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 		return nil, err
 	}
 	ev := &evaluator{
-		q:       q,
-		db:      db,
-		indexes: make(map[string]*relation.Index),
-		res:     &Result{Query: q, answers: make(map[string]*Answer)},
+		q:   q,
+		db:  db,
+		res: &Result{Query: q, DB: db, index: make(map[string]int)},
 	}
 	ev.run()
 	return ev.res, nil
@@ -174,20 +166,94 @@ func ExplainPlan(q *Query, db *relation.Instance) (string, error) {
 }
 
 type evaluator struct {
-	q       *Query
-	db      *relation.Instance
-	indexes map[string]*relation.Index // keyed by relation + positions
-	res     *Result
+	q   *Query
+	db  *relation.Instance
+	res *Result
 
-	order      []int // atom evaluation order (indexes into q.Body)
-	assignment map[string]relation.Value
-	derivation Derivation // per original body position
+	order []int // atom evaluation order (indexes into q.Body)
+	// Variables are numbered in body order; slot[ai][p] is the variable
+	// number at position p of atom ai, or -1 for a constant.
+	slot  [][]int
+	head  []int
+	vals  []relation.Value
+	bound []bool
+	// steps[s] is the plan step for atom order[s]: its bound positions
+	// and the index over them (built on first use).
+	steps      []planStep
+	indexes    map[string]*relation.Index // keyed by relation + positions
+	derivation Derivation                 // per original body position
+	key        relation.Tuple
+	headBuf    relation.Tuple
+	encBuf     []byte
+	// pool backs the emitted derivations, one chunk per many answers.
+	pool []relation.TID
+}
+
+type planStep struct {
+	atom     int
+	rel      *relation.Relation
+	boundPos []int
+	idx      *relation.Index
+	indexKey string
+	// binds lists the variable numbers this step binds first.
+	binds []int
 }
 
 func (ev *evaluator) run() {
 	ev.order = ev.planOrder()
-	ev.assignment = make(map[string]relation.Value)
+	vars := make(map[string]int)
+	number := func(v string) int {
+		n, ok := vars[v]
+		if !ok {
+			n = len(vars)
+			vars[v] = n
+		}
+		return n
+	}
+	ev.slot = make([][]int, len(ev.q.Body))
+	for ai, a := range ev.q.Body {
+		ev.slot[ai] = make([]int, len(a.Terms))
+		for p, t := range a.Terms {
+			ev.slot[ai][p] = -1
+			if t.IsVar() {
+				ev.slot[ai][p] = number(t.Var)
+			}
+		}
+	}
+	ev.head = make([]int, len(ev.q.Head))
+	for i, t := range ev.q.Head {
+		ev.head[i] = -1
+		if t.IsVar() {
+			ev.head[i] = vars[t.Var]
+		}
+	}
+	ev.vals = make([]relation.Value, len(vars))
+	ev.bound = make([]bool, len(vars))
+	// Positions are bound by constants and by variables of earlier steps;
+	// both sets are fixed by the plan, so every step's index is built once.
+	seen := make([]bool, len(vars))
+	ev.indexes = make(map[string]*relation.Index)
+	for _, ai := range ev.order {
+		a := ev.q.Body[ai]
+		st := planStep{atom: ai, rel: ev.db.Relation(a.Relation)}
+		for p, n := range ev.slot[ai] {
+			if n < 0 || seen[n] {
+				st.boundPos = append(st.boundPos, p)
+			}
+		}
+		for _, n := range ev.slot[ai] {
+			if n >= 0 && !seen[n] {
+				seen[n] = true
+				st.binds = append(st.binds, n)
+			}
+		}
+		if len(st.boundPos) > 0 {
+			st.indexKey = indexKey(a.Relation, st.boundPos)
+		}
+		ev.steps = append(ev.steps, st)
+	}
 	ev.derivation = make(Derivation, len(ev.q.Body))
+	ev.headBuf = make(relation.Tuple, len(ev.q.Head))
 	ev.join(0)
 }
 
@@ -225,31 +291,30 @@ func (ev *evaluator) planOrder() []int {
 	return order
 }
 
-// candidates returns the tuples of atom a consistent with the current
-// assignment, using (and caching) an index on the bound positions.
-func (ev *evaluator) candidates(a Atom) []relation.Tuple {
-	var boundPos []int
-	var key relation.Tuple
-	for p, t := range a.Terms {
-		if !t.IsVar() {
-			boundPos = append(boundPos, p)
-			key = append(key, t.Const)
-		} else if v, ok := ev.assignment[t.Var]; ok {
-			boundPos = append(boundPos, p)
-			key = append(key, v)
+// candidates returns the IDs of the step's tuples consistent with the
+// current assignment, through the step's index on its bound positions.
+func (ev *evaluator) candidates(st *planStep) []relation.TID {
+	if len(st.boundPos) == 0 {
+		return st.rel.IDs()
+	}
+	if st.idx == nil {
+		idx, ok := ev.indexes[st.indexKey]
+		if !ok {
+			idx = relation.BuildIndex(st.rel, st.boundPos)
+			ev.indexes[st.indexKey] = idx
+		}
+		st.idx = idx
+	}
+	a := ev.q.Body[st.atom]
+	ev.key = ev.key[:0]
+	for _, p := range st.boundPos {
+		if n := ev.slot[st.atom][p]; n >= 0 {
+			ev.key = append(ev.key, ev.vals[n])
+		} else {
+			ev.key = append(ev.key, a.Terms[p].Const)
 		}
 	}
-	rel := ev.db.Relation(a.Relation)
-	if len(boundPos) == 0 {
-		return rel.Tuples()
-	}
-	ik := indexKey(a.Relation, boundPos)
-	idx, ok := ev.indexes[ik]
-	if !ok {
-		idx = relation.BuildIndex(rel, boundPos)
-		ev.indexes[ik] = idx
-	}
-	return idx.Lookup(key)
+	return st.idx.Lookup(ev.key)
 }
 
 func indexKey(rel string, positions []int) string {
@@ -264,85 +329,89 @@ func indexKey(rel string, positions []int) string {
 // join extends the current partial match with the step-th atom in plan
 // order, recursing to enumerate all matches.
 func (ev *evaluator) join(step int) {
-	if step == len(ev.order) {
+	if step == len(ev.steps) {
 		ev.emit()
 		return
 	}
-	ai := ev.order[step]
-	a := ev.q.Body[ai]
-	for _, t := range ev.candidates(a) {
-		newVars := ev.bind(a, t)
-		if newVars == nil {
+	st := &ev.steps[step]
+	for _, id := range ev.candidates(st) {
+		if !ev.bind(st, st.rel.Tuple(id)) {
 			continue
 		}
-		ev.derivation[ai] = relation.TupleID{Relation: a.Relation, Tuple: t}
+		ev.derivation[st.atom] = id
 		ev.join(step + 1)
-		for _, v := range newVars {
-			delete(ev.assignment, v)
+		for _, n := range st.binds {
+			ev.bound[n] = false
 		}
 	}
 }
 
-// bind unifies atom a with tuple t under the current assignment. On success
-// it extends the assignment and returns the variables newly bound (possibly
-// empty but non-nil); on conflict it returns nil leaving the assignment
-// untouched.
-func (ev *evaluator) bind(a Atom, t relation.Tuple) []string {
-	newVars := []string{}
-	for p, term := range a.Terms {
-		if !term.IsVar() {
-			if term.Const != t[p] {
-				ev.unbind(newVars)
-				return nil
+// bind unifies the step's atom with tuple t under the current assignment.
+// On success it binds the step's new variables and reports true; on
+// conflict it reports false leaving the assignment untouched.
+func (ev *evaluator) bind(st *planStep, t relation.Tuple) bool {
+	a := ev.q.Body[st.atom]
+	for p, n := range ev.slot[st.atom] {
+		switch {
+		case n < 0:
+			if a.Terms[p].Const != t[p] {
+				ev.unbind(st)
+				return false
 			}
-			continue
-		}
-		if v, ok := ev.assignment[term.Var]; ok {
-			if v != t[p] {
-				ev.unbind(newVars)
-				return nil
+		case ev.bound[n]:
+			if ev.vals[n] != t[p] {
+				ev.unbind(st)
+				return false
 			}
-			continue
+		default:
+			ev.vals[n] = t[p]
+			ev.bound[n] = true
 		}
-		ev.assignment[term.Var] = t[p]
-		newVars = append(newVars, term.Var)
 	}
-	return newVars
+	return true
 }
 
-func (ev *evaluator) unbind(vars []string) {
-	for _, v := range vars {
-		delete(ev.assignment, v)
+func (ev *evaluator) unbind(st *planStep) {
+	for _, n := range st.binds {
+		ev.bound[n] = false
 	}
 }
+
+// derivationChunk sizes the blocks the emitted derivations are cut from.
+const derivationChunk = 4096
 
 // emit records the current complete match as an answer + derivation.
 func (ev *evaluator) emit() {
-	head := make(relation.Tuple, len(ev.q.Head))
-	for i, t := range ev.q.Head {
-		if t.IsVar() {
-			head[i] = ev.assignment[t.Var]
+	for i, n := range ev.head {
+		if n >= 0 {
+			ev.headBuf[i] = ev.vals[n]
 		} else {
-			head[i] = t.Const
+			ev.headBuf[i] = ev.q.Head[i].Const
 		}
 	}
-	enc := head.Encode()
-	ans, ok := ev.res.answers[enc]
+	ev.encBuf = ev.headBuf.AppendEncode(ev.encBuf[:0])
+	res := ev.res
+	pos, ok := res.index[string(ev.encBuf)]
 	if !ok {
-		ans = &Answer{Tuple: head.Clone()}
-		ev.res.answers[enc] = ans
-		ev.res.order = append(ev.res.order, enc)
+		pos = len(res.answers)
+		res.index[string(ev.encBuf)] = pos
+		res.answers = append(res.answers, &Answer{Tuple: ev.headBuf.Clone()})
 	}
-	der := make(Derivation, len(ev.derivation))
-	copy(der, ev.derivation)
+	ans := res.answers[pos]
 	// Distinct matches always produce distinct derivations for safe
 	// queries, but self-joins can revisit the same derivation via symmetric
 	// variable roles; dedupe defensively.
-	dk := der.Key()
 	for _, d := range ans.Derivations {
-		if d.Key() == dk {
+		if d.Equal(ev.derivation) {
 			return
 		}
 	}
+	n := len(ev.derivation)
+	if len(ev.pool) < n {
+		ev.pool = make([]relation.TID, max(derivationChunk, n))
+	}
+	der := Derivation(ev.pool[:n:n])
+	ev.pool = ev.pool[n:]
+	copy(der, ev.derivation)
 	ans.Derivations = append(ans.Derivations, der)
 }

@@ -158,7 +158,20 @@ func EvaluateYannakakis(q *Query, db *relation.Instance) (*Result, error) {
 			}
 		}
 	}
-	return Evaluate(q, reduced)
+	res, err := Evaluate(q, reduced)
+	if err != nil {
+		return nil, err
+	}
+	// Report provenance in db's IDs, like Evaluate over db would.
+	for _, ans := range res.answers {
+		for _, d := range ans.Derivations {
+			for i, id := range d {
+				d[i], _ = db.ID(reduced.ByID(id))
+			}
+		}
+	}
+	res.DB = db
+	return res, nil
 }
 
 // matchesAtom checks per-atom selection conditions against one tuple.

@@ -57,10 +57,10 @@ func resultsEqual(a, b *Result) bool {
 		}
 		seen := make(map[string]bool)
 		for _, d := range other.Derivations {
-			seen[d.Key()] = true
+			seen[d.Format(b.DB)] = true
 		}
 		for _, d := range ans.Derivations {
-			if !seen[d.Key()] {
+			if !seen[d.Format(a.DB)] {
 				return false
 			}
 		}

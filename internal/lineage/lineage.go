@@ -42,11 +42,12 @@ func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
 	if err != nil {
 		return nil, err
 	}
+	db := views[ref.View].Result.DB
 	out := make([]Witness, 0, len(ans.Derivations))
 	for _, d := range ans.Derivations {
 		var w Witness
-		for _, id := range d.TupleSet() {
-			w = append(w, id)
+		for _, t := range view.Distinct(nil, d) {
+			w = append(w, db.ByID(t))
 		}
 		sort.Slice(w, func(i, j int) bool { return w[i].Key() < w[j].Key() })
 		out = append(out, w)
@@ -85,6 +86,7 @@ func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 	if !head.IsVar() {
 		return nil, nil
 	}
+	db := views[ref.View].Result.DB
 	seen := make(map[string]Cell)
 	for _, d := range ans.Derivations {
 		// The derivation holds one base tuple per body atom, in body
@@ -93,7 +95,7 @@ func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 		for ai, atom := range q.Body {
 			for p, term := range atom.Terms {
 				if term.IsVar() && term.Var == head.Var {
-					c := Cell{Tuple: d[ai], Position: p}
+					c := Cell{Tuple: db.ByID(d[ai]), Position: p}
 					seen[c.String()] = c
 				}
 			}
@@ -159,10 +161,18 @@ func (r *Report) String() string {
 // deletion propagation, used by the annotation application to push
 // annotations from source cells to view tuples.
 func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
+	if len(views) == 0 {
+		return nil
+	}
+	t, ok := views[0].Result.DB.ID(id)
+	if !ok {
+		return nil
+	}
 	idx := view.BuildInvertedIndex(views)
 	var out []view.TupleRef
-	for _, occ := range idx.Occurrences(id) {
-		out = append(out, occ.Ref)
+	for _, occ := range idx.Occurrences(t) {
+		ref, _ := view.Resolve(views, occ.Ref)
+		out = append(out, ref)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out

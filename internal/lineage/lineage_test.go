@@ -173,8 +173,15 @@ func TestWhyAgreesWithDeletionSemantics(t *testing.T) {
 	why, _ := Why(views, ref)
 	ans, _ := views[0].Result.Lookup(ref.Tuple)
 	// Remove first witness only: survives.
-	del := view.DeletedSet(why[0])
-	if !view.Survives(ans, del) {
+	ids := func(w []relation.TupleID) relation.IDSet {
+		var s relation.IDSet
+		for _, id := range w {
+			t, _ := views[0].Result.DB.ID(id)
+			s.Add(t)
+		}
+		return s
+	}
+	if !view.Survives(ans, ids(why[0])) {
 		t.Error("killing one witness should not kill a two-witness tuple")
 	}
 	// Remove one tuple from every witness: dies.
@@ -182,7 +189,7 @@ func TestWhyAgreesWithDeletionSemantics(t *testing.T) {
 	for _, w := range why {
 		cut = append(cut, w[0])
 	}
-	if view.Survives(ans, view.DeletedSet(cut)) {
+	if view.Survives(ans, ids(cut)) {
 		t.Error("cutting every witness should kill the tuple")
 	}
 }

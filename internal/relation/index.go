@@ -1,12 +1,14 @@
 package relation
 
 // Index is a secondary hash index over an arbitrary set of attribute
-// positions of a relation, mapping each projection value to the list of
+// positions of a relation, mapping each projection value to the IDs of the
 // matching tuples. The conjunctive-query evaluator builds one per (atom,
 // bound-position-set) pair to turn joins into point lookups.
 type Index struct {
 	positions []int
-	buckets   map[string][]Tuple
+	// slot maps projection encodings to positions in buckets.
+	slot    map[string]int
+	buckets [][]TID
 }
 
 // BuildIndex builds an index on the given positions over the relation's
@@ -15,19 +17,32 @@ type Index struct {
 func BuildIndex(r *Relation, positions []int) *Index {
 	idx := &Index{
 		positions: append([]int(nil), positions...),
-		buckets:   make(map[string][]Tuple),
+		slot:      make(map[string]int),
 	}
-	for _, t := range r.Tuples() {
-		k := t.Project(positions).Encode()
-		idx.buckets[k] = append(idx.buckets[k], t)
+	var buf []byte
+	for _, id := range r.order {
+		buf = appendEncodeAt(buf[:0], r.Tuple(id), positions)
+		i, ok := idx.slot[string(buf)]
+		if !ok {
+			i = len(idx.buckets)
+			idx.slot[string(buf)] = i
+			idx.buckets = append(idx.buckets, nil)
+		}
+		idx.buckets[i] = append(idx.buckets[i], id)
 	}
 	return idx
 }
 
-// Lookup returns all tuples whose projection on the index positions equals
-// key. The returned slice is shared and must not be mutated.
-func (idx *Index) Lookup(key Tuple) []Tuple {
-	return idx.buckets[key.Encode()]
+// Lookup returns the IDs of all tuples whose projection on the index
+// positions equals key. The returned slice is shared and must not be
+// mutated.
+func (idx *Index) Lookup(key Tuple) []TID {
+	var buf [128]byte
+	i, ok := idx.slot[string(key.AppendEncode(buf[:0]))]
+	if !ok {
+		return nil
+	}
+	return idx.buckets[i]
 }
 
 // Positions returns the indexed attribute positions.

@@ -98,9 +98,17 @@ type TupleID struct {
 	Tuple    Tuple
 }
 
-// Key returns a canonical map key for the identity.
+// Key returns a canonical string for the identity. Its byte order is the
+// canonical tuple order solvers break ties by.
 func (id TupleID) Key() string {
-	return id.Relation + "|" + id.Tuple.Encode()
+	return string(id.AppendKey(nil))
+}
+
+// AppendKey appends Key's bytes to b.
+func (id TupleID) AppendKey(b []byte) []byte {
+	b = append(b, id.Relation...)
+	b = append(b, '|')
+	return id.Tuple.AppendEncode(b)
 }
 
 // String renders the identity as Relation(a,b,c).
@@ -207,24 +215,57 @@ var (
 	ErrDuplicate = errors.New("relation: duplicate tuple")
 )
 
+// TID is the dense identifier of a base tuple inside an Instance. Insert
+// assigns the next ID when it accepts a tuple; the ID is stable for the
+// life of the instance, kept by Clone and Without, and never reused, not
+// even after Delete. IDs stay inside the process: the API, the text
+// formats and JSON name tuples by value (TupleID).
+type TID uint32
+
+// arena maps IDs to tuple identities for every relation of an instance.
+// Entries are append-only, so a clone may share the backing array of a
+// capacity-capped prefix.
+type arena struct {
+	ids []TupleID
+}
+
+func (a *arena) add(rel string, t Tuple) TID {
+	id := TID(len(a.ids))
+	a.ids = append(a.ids, TupleID{Relation: rel, Tuple: t})
+	return id
+}
+
+// fork returns an arena sharing a's entries; appends on either side
+// reallocate instead of overwriting the other's.
+func (a *arena) fork() *arena {
+	n := len(a.ids)
+	return &arena{ids: a.ids[:n:n]}
+}
+
 // Relation is a finite set of tuples over a schema, with the key constraint
 // enforced on insert. It maintains a key index for point lookups.
 type Relation struct {
 	schema *Schema
-	// tuples maps full-tuple encodings to the tuple.
-	tuples map[string]Tuple
-	// keyIdx maps key encodings to full-tuple encodings.
-	keyIdx map[string]string
-	// order remembers insertion order of encodings so iteration is stable.
-	order []string
+	arena  *arena
+	// byValue maps full-tuple encodings to IDs.
+	byValue map[string]TID
+	// byKey maps key encodings to IDs.
+	byKey map[string]TID
+	// order lists the live IDs in insertion order so iteration is stable.
+	order []TID
 }
 
 // NewRelation creates an empty relation over the schema.
 func NewRelation(schema *Schema) *Relation {
+	return newRelation(schema, &arena{})
+}
+
+func newRelation(schema *Schema, a *arena) *Relation {
 	return &Relation{
-		schema: schema,
-		tuples: make(map[string]Tuple),
-		keyIdx: make(map[string]string),
+		schema:  schema,
+		arena:   a,
+		byValue: make(map[string]TID),
+		byKey:   make(map[string]TID),
 	}
 }
 
@@ -232,7 +273,26 @@ func NewRelation(schema *Schema) *Relation {
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.order) }
+
+// appendEncodeAt appends the encoding of t's projection on positions
+// (t.Project(positions).Encode()) without building the projection.
+func appendEncodeAt(b []byte, t Tuple, positions []int) []byte {
+	for _, p := range positions {
+		b = strconv.AppendInt(b, int64(len(t[p])), 10)
+		b = append(b, ':')
+		b = append(b, t[p]...)
+		b = append(b, ';')
+	}
+	return b
+}
+
+// lookup returns the ID of the exact tuple, if present.
+func (r *Relation) lookup(t Tuple) (TID, bool) {
+	var buf [128]byte
+	id, ok := r.byValue[string(t.AppendEncode(buf[:0]))]
+	return id, ok
+}
 
 // Insert adds a tuple. It returns ErrArity on arity mismatch,
 // ErrDuplicate if the exact tuple is already present, and ErrKeyViolation
@@ -241,49 +301,51 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("%w: relation %s expects arity %d, got %d", ErrArity, r.schema.Name, r.schema.Arity(), len(t))
 	}
-	enc := t.Encode()
-	if _, ok := r.tuples[enc]; ok {
+	var buf, kbuf [128]byte
+	enc := t.AppendEncode(buf[:0])
+	if _, ok := r.byValue[string(enc)]; ok {
 		return fmt.Errorf("%w: %s%s", ErrDuplicate, r.schema.Name, t)
 	}
-	kenc := r.schema.KeyOf(t).Encode()
-	if other, ok := r.keyIdx[kenc]; ok {
-		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.tuples[other])
+	kenc := appendEncodeAt(kbuf[:0], t, r.schema.Key)
+	if other, ok := r.byKey[string(kenc)]; ok {
+		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.Tuple(other))
 	}
-	t = t.Clone()
-	r.tuples[enc] = t
-	r.keyIdx[kenc] = enc
-	r.order = append(r.order, enc)
+	id := r.arena.add(r.schema.Name, t.Clone())
+	r.byValue[string(enc)] = id
+	r.byKey[string(kenc)] = id
+	r.order = append(r.order, id)
 	return nil
 }
 
 // Contains reports whether the exact tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.tuples[t.Encode()]
+	_, ok := r.lookup(t)
 	return ok
 }
 
 // LookupKey returns the unique tuple with the given key values, if any.
 func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
-	enc, ok := r.keyIdx[key.Encode()]
+	var buf [128]byte
+	id, ok := r.byKey[string(key.AppendEncode(buf[:0]))]
 	if !ok {
 		return nil, false
 	}
-	return r.tuples[enc], true
+	return r.Tuple(id), true
 }
 
-// Delete removes the exact tuple, reporting whether it was present.
+// Delete removes the exact tuple, reporting whether it was present. Its ID
+// is retired, not reused.
 func (r *Relation) Delete(t Tuple) bool {
-	enc := t.Encode()
-	stored, ok := r.tuples[enc]
+	var buf [128]byte
+	enc := t.AppendEncode(buf[:0])
+	id, ok := r.byValue[string(enc)]
 	if !ok {
 		return false
 	}
-	delete(r.tuples, enc)
-	delete(r.keyIdx, r.schema.KeyOf(stored).Encode())
-	// Compact the iteration order so a later re-insert of the same tuple
-	// cannot appear twice.
-	for i, e := range r.order {
-		if e == enc {
+	delete(r.byValue, string(enc))
+	delete(r.byKey, string(appendEncodeAt(buf[:0], r.Tuple(id), r.schema.Key)))
+	for i, o := range r.order {
+		if o == id {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}
@@ -291,40 +353,57 @@ func (r *Relation) Delete(t Tuple) bool {
 	return true
 }
 
+// Tuple returns the tuple with the given ID. The tuple is shared and must
+// not be mutated.
+func (r *Relation) Tuple(id TID) Tuple { return r.arena.ids[id].Tuple }
+
+// IDs returns the IDs of the live tuples in insertion order. The slice is
+// shared and must not be mutated.
+func (r *Relation) IDs() []TID { return r.order[:len(r.order):len(r.order)] }
+
 // Tuples returns all tuples in insertion order. The returned slice is fresh;
 // the tuples are shared and must not be mutated.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.tuples))
-	for _, enc := range r.order {
-		if t, ok := r.tuples[enc]; ok {
-			out = append(out, t)
-		}
+	out := make([]Tuple, len(r.order))
+	for i, id := range r.order {
+		out[i] = r.Tuple(id)
 	}
 	return out
 }
 
-// Clone returns a deep copy of the relation.
+// Clone returns a copy of the relation with the same tuple IDs.
 func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.schema)
-	for _, t := range r.Tuples() {
-		// Insert cannot fail: tuples came from a consistent relation.
-		if err := c.Insert(t); err != nil {
-			panic("relation: clone insert failed: " + err.Error())
-		}
+	return r.cloneInto(r.arena.fork())
+}
+
+func (r *Relation) cloneInto(a *arena) *Relation {
+	c := &Relation{
+		schema:  r.schema,
+		arena:   a,
+		byValue: make(map[string]TID, len(r.byValue)),
+		byKey:   make(map[string]TID, len(r.byKey)),
+		order:   append([]TID(nil), r.order...),
+	}
+	for k, id := range r.byValue {
+		c.byValue[k] = id
+	}
+	for k, id := range r.byKey {
+		c.byKey[k] = id
 	}
 	return c
 }
 
 // Instance is a database instance: a collection of relations, one per
-// relation symbol of the schema.
+// relation symbol of the schema. Its relations share one ID space (TID).
 type Instance struct {
 	rels  map[string]*Relation
 	names []string
+	arena *arena
 }
 
 // NewInstance creates an instance with the given relation schemas.
 func NewInstance(schemas ...*Schema) *Instance {
-	db := &Instance{rels: make(map[string]*Relation)}
+	db := &Instance{rels: make(map[string]*Relation), arena: &arena{}}
 	for _, s := range schemas {
 		db.AddRelation(s)
 	}
@@ -337,7 +416,7 @@ func (db *Instance) AddRelation(s *Schema) *Relation {
 	if _, ok := db.rels[s.Name]; ok {
 		panic("relation: duplicate relation " + s.Name)
 	}
-	r := NewRelation(s)
+	r := newRelation(s, db.arena)
 	db.rels[s.Name] = r
 	db.names = append(db.names, s.Name)
 	return r
@@ -389,12 +468,26 @@ func (db *Instance) Delete(id TupleID) bool {
 
 // Contains reports whether the identified tuple is present.
 func (db *Instance) Contains(id TupleID) bool {
+	_, ok := db.ID(id)
+	return ok
+}
+
+// ID returns the dense ID of a present tuple.
+func (db *Instance) ID(id TupleID) (TID, bool) {
 	r, ok := db.rels[id.Relation]
 	if !ok {
-		return false
+		return 0, false
 	}
-	return r.Contains(id.Tuple)
+	return r.lookup(id.Tuple)
 }
+
+// ByID returns the identity of the tuple with the given ID. Retired IDs
+// still resolve; IDs never assigned by this instance panic.
+func (db *Instance) ByID(id TID) TupleID { return db.arena.ids[id] }
+
+// NumIDs returns the number of IDs assigned so far: every ID is below it,
+// so it sizes slices indexed by TID.
+func (db *Instance) NumIDs() int { return len(db.arena.ids) }
 
 // Size returns the total number of tuples across all relations (|D|).
 func (db *Instance) Size() int {
@@ -410,24 +503,25 @@ func (db *Instance) Size() int {
 func (db *Instance) AllTuples() []TupleID {
 	out := make([]TupleID, 0, db.Size())
 	for _, name := range db.names {
-		for _, t := range db.rels[name].Tuples() {
-			out = append(out, TupleID{Relation: name, Tuple: t})
+		for _, id := range db.rels[name].order {
+			out = append(out, db.ByID(id))
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the instance.
+// Clone returns a copy of the instance with the same tuple IDs.
 func (db *Instance) Clone() *Instance {
-	c := &Instance{rels: make(map[string]*Relation, len(db.rels)), names: append([]string(nil), db.names...)}
+	a := db.arena.fork()
+	c := &Instance{rels: make(map[string]*Relation, len(db.rels)), names: append([]string(nil), db.names...), arena: a}
 	for name, r := range db.rels {
-		c.rels[name] = r.Clone()
+		c.rels[name] = r.cloneInto(a)
 	}
 	return c
 }
 
 // Without returns a copy of the instance with the given tuples removed
-// (D \ ΔD). Unknown tuples are ignored.
+// (D \ ΔD). Unknown tuples are ignored. Surviving tuples keep their IDs.
 func (db *Instance) Without(deleted []TupleID) *Instance {
 	c := db.Clone()
 	for _, id := range deleted {

@@ -340,7 +340,7 @@ func TestIndex(t *testing.T) {
 	}
 	// Multi-position index.
 	idx2 := BuildIndex(r, []int{1, 2})
-	if got := idx2.Lookup(tup("x", "q")); len(got) != 1 || !got[0].Equal(tup("2", "x", "q")) {
+	if got := idx2.Lookup(tup("x", "q")); len(got) != 1 || !r.Tuple(got[0]).Equal(tup("2", "x", "q")) {
 		t.Errorf("Lookup(x,q) = %v", got)
 	}
 	// Snapshot semantics.
@@ -399,5 +399,51 @@ func TestEncodeFormat(t *testing.T) {
 		if got := string(c.t.AppendEncode([]byte("p|"))); got != "p|"+c.want {
 			t.Errorf("AppendEncode(%v) = %q", c.t, got)
 		}
+	}
+}
+
+// TestTupleIDsStable: IDs are dense in insertion order, survive Clone and
+// Without, and are never reused after a delete.
+func TestTupleIDsStable(t *testing.T) {
+	db := NewInstance(MustSchema("T", []string{"a", "b"}, []int{0}), MustSchema("U", []string{"a"}, []int{0}))
+	db.MustInsert("T", "1", "x")
+	db.MustInsert("U", "u")
+	db.MustInsert("T", "2", "y")
+	ids := db.AllTuples()
+	for _, id := range ids {
+		tid, ok := db.ID(id)
+		if !ok || !db.ByID(tid).Tuple.Equal(id.Tuple) || db.ByID(tid).Relation != id.Relation {
+			t.Fatalf("ID(%s) = %d, %v", id, tid, ok)
+		}
+	}
+	if tid, _ := db.ID(TupleID{Relation: "T", Tuple: tup("2", "y")}); tid != 2 {
+		t.Errorf("third insert got ID %d, want 2", tid)
+	}
+	c := db.Without([]TupleID{{Relation: "T", Tuple: tup("1", "x")}})
+	if tid, ok := c.ID(TupleID{Relation: "U", Tuple: tup("u")}); !ok || tid != 1 {
+		t.Errorf("Without changed an ID: %d, %v", tid, ok)
+	}
+	if c.Contains(TupleID{Relation: "T", Tuple: tup("1", "x")}) || !db.Contains(TupleID{Relation: "T", Tuple: tup("1", "x")}) {
+		t.Error("Without must delete from the copy only")
+	}
+	c.MustInsert("T", "1", "x")
+	db.MustInsert("T", "3", "z")
+	if tid, _ := c.ID(TupleID{Relation: "T", Tuple: tup("1", "x")}); tid != 3 {
+		t.Errorf("re-insert reused or skipped an ID: %d", tid)
+	}
+	if got := db.ByID(3); got.String() != "T(3,z)" {
+		t.Errorf("clone insert leaked into the original: %s", got)
+	}
+	if c.NumIDs() != 4 || db.NumIDs() != 4 {
+		t.Errorf("NumIDs = %d, %d", c.NumIDs(), db.NumIDs())
+	}
+	var s IDSet
+	s.Add(70)
+	if !s.Has(70) || s.Has(6) || NewIDSet(10).Has(70) {
+		t.Error("IDSet membership")
+	}
+	s.Remove(70)
+	if s.Has(70) {
+		t.Error("IDSet remove")
 	}
 }

@@ -33,8 +33,8 @@ func PlantedOracle(corrupt map[string]bool) Oracle {
 			return false
 		}
 		for _, d := range ans.Derivations {
-			for k := range d.TupleSet() {
-				if corrupt[k] {
+			for _, t := range d {
+				if corrupt[p.DB.ByID(t).Key()] {
 					return true
 				}
 			}
@@ -76,8 +76,8 @@ func FDOracle(attrFDs map[string]*fd.Set) Oracle {
 			return false
 		}
 		for _, d := range ans.Derivations {
-			for k := range d.TupleSet() {
-				if bad[k] {
+			for _, t := range d {
+				if bad[p.DB.ByID(t).Key()] {
 					return true
 				}
 			}

@@ -22,8 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -537,36 +535,9 @@ func (r *Registry) notifyEntries(n int) {
 }
 
 // boundKey derives the certificate-cache key for a specialized problem:
-// the sorted deletion refs plus the sorted weight assignment, the only
-// inputs DualBound depends on beyond the shared skeleton.
-func boundKey(p *core.Problem) string {
-	refs := p.Delta.Refs()
-	keys := make([]string, len(refs))
-	for i, ref := range refs {
-		keys[i] = ref.Key()
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	if len(p.Weights) > 0 {
-		wk := make([]string, 0, len(p.Weights))
-		for k := range p.Weights {
-			wk = append(wk, k)
-		}
-		sort.Strings(wk)
-		b.WriteByte('|')
-		for _, k := range wk {
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatFloat(p.Weights[k], 'g', -1, 64))
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
+// the requested view tuples and the weight assignment, the only inputs
+// DualBound depends on beyond the shared skeleton.
+func boundKey(p *core.Problem) string { return p.RequestKey() }
 
 // DualBound returns the LP dual certificate for a problem specialized
 // from this entry's skeleton, caching it per (delta, weights) so repeated

@@ -1,8 +1,6 @@
 package view
 
 import (
-	"sort"
-
 	"delprop/internal/relation"
 )
 
@@ -14,165 +12,188 @@ import (
 // relation tuples in the view" procedure of Section II.C, generalized to
 // multi-derivation (non-key-preserving) view tuples via per-derivation
 // reference counts.
+//
+// View tuples are addressed by ref ID and base tuples by relation.TID; the
+// mutable state is flat slices, so Clone is a copy.
 type Maintainer struct {
-	views []*View
-	// derivAlive[ref key] = number of still-alive derivations.
-	derivAlive map[string]int
-	// derivHit[ref key][derivation index] = number of deleted tuples on
-	// that derivation (alive while 0).
-	derivHit map[string][]int
-	// occ maps base-tuple keys to (ref key, derivation index) pairs.
-	occ map[string][]derivRef
-	// deleted tracks applied deletions for idempotence.
-	deleted map[string]bool
-	// refs resolves ref keys back to references.
-	refs map[string]TupleRef
-	// deadOrder records refs in death order.
-	deadOrder []TupleRef
-	dead      map[string]bool
+	*provenance
+	// derivAlive[ref] = number of still-alive derivations.
+	derivAlive []int32
+	// derivHit[derivation] = number of deleted tuples on that derivation
+	// (alive while 0).
+	derivHit []int32
+	deleted  []bool // by tuple ID
+	dead     []bool // by ref ID
+	nDeleted int
+	nDead    int
+	// changed backs the slices Delete and Undelete return.
+	changed []int
 }
 
-type derivRef struct {
-	refKey string
-	deriv  int
+// provenance is the immutable index a maintainer and its clones share.
+type provenance struct {
+	// derivRef maps each derivation (numbered in ref order) to its ref.
+	derivRef []int32
+	// The derivations containing tuple t are occDeriv[occStart[t]:occStart[t+1]].
+	occStart []int32
+	occDeriv []int32
+	// derivs[ref] = number of derivations of the ref.
+	derivs []int32
 }
 
 // NewMaintainer indexes the views for incremental deletion.
 func NewMaintainer(views []*View) *Maintainer {
-	m := &Maintainer{
-		views:      views,
-		derivAlive: make(map[string]int),
-		derivHit:   make(map[string][]int),
-		occ:        make(map[string][]derivRef),
-		deleted:    make(map[string]bool),
-		refs:       make(map[string]TupleRef),
-		dead:       make(map[string]bool),
+	nt := idBound(views)
+	pv := &provenance{
+		occStart: make([]int32, nt+1),
+		derivs:   make([]int32, TotalSize(views)),
 	}
+	// Two passes over the provenance: count each tuple's occurrences,
+	// then fill the compressed rows in (ref, derivation) order.
 	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-			k := ref.Key()
-			m.refs[k] = ref
-			m.derivAlive[k] = len(ans.Derivations)
-			m.derivHit[k] = make([]int, len(ans.Derivations))
-			for di, d := range ans.Derivations {
-				for tk := range d.TupleSet() {
-					m.occ[tk] = append(m.occ[tk], derivRef{refKey: k, deriv: di})
+		for pos, ans := range v.Result.Answers() {
+			pv.derivs[v.Offset+pos] = int32(len(ans.Derivations))
+			for _, d := range ans.Derivations {
+				for i, id := range d {
+					if !containsID(d[:i], id) {
+						pv.occStart[id+1]++
+					}
 				}
 			}
 		}
 	}
-	return m
+	for t := 1; t <= nt; t++ {
+		pv.occStart[t] += pv.occStart[t-1]
+	}
+	pv.occDeriv = make([]int32, pv.occStart[nt])
+	fill := append([]int32(nil), pv.occStart[:nt]...)
+	for _, v := range views {
+		for pos, ans := range v.Result.Answers() {
+			for _, d := range ans.Derivations {
+				g := int32(len(pv.derivRef))
+				pv.derivRef = append(pv.derivRef, int32(v.Offset+pos))
+				for i, id := range d {
+					if !containsID(d[:i], id) {
+						pv.occDeriv[fill[id]] = g
+						fill[id]++
+					}
+				}
+			}
+		}
+	}
+	return &Maintainer{
+		provenance: pv,
+		derivAlive: append([]int32(nil), pv.derivs...),
+		derivHit:   make([]int32, len(pv.derivRef)),
+		deleted:    make([]bool, nt),
+		dead:       make([]bool, len(pv.derivs)),
+	}
 }
 
 // Clone returns an independent copy of the maintainer: the clone shares
-// the provenance indexes built by NewMaintainer (views, occ, refs — all
-// immutable after construction) and deep-copies the mutable deletion
-// state, so Delete/Undelete on the clone never touch the original.
-// Parallel greedy scoring hands one clone per worker; cloning is O(state)
-// while re-indexing with NewMaintainer is O(provenance).
+// the immutable provenance index and copies the mutable deletion state,
+// so Delete/Undelete on the clone never touch the original. Parallel
+// greedy scoring hands one clone per worker; cloning is O(state) while
+// re-indexing with NewMaintainer is O(provenance).
 func (m *Maintainer) Clone() *Maintainer {
-	c := &Maintainer{
-		views:      m.views,
-		derivAlive: make(map[string]int, len(m.derivAlive)),
-		derivHit:   make(map[string][]int, len(m.derivHit)),
-		occ:        m.occ,
-		deleted:    make(map[string]bool, len(m.deleted)),
-		refs:       m.refs,
-		deadOrder:  append([]TupleRef(nil), m.deadOrder...),
-		dead:       make(map[string]bool, len(m.dead)),
+	return &Maintainer{
+		provenance: m.provenance,
+		derivAlive: append([]int32(nil), m.derivAlive...),
+		derivHit:   append([]int32(nil), m.derivHit...),
+		deleted:    append([]bool(nil), m.deleted...),
+		dead:       append([]bool(nil), m.dead...),
+		nDeleted:   m.nDeleted,
+		nDead:      m.nDead,
 	}
-	for k, v := range m.derivAlive {
-		c.derivAlive[k] = v
-	}
-	for k, hits := range m.derivHit {
-		c.derivHit[k] = append([]int(nil), hits...)
-	}
-	for k := range m.deleted {
-		c.deleted[k] = true
-	}
-	for k := range m.dead {
-		c.dead[k] = true
-	}
-	return c
 }
 
-// Delete applies one source-tuple deletion and returns the view tuples
-// that died as a consequence (empty if none, or if the tuple was already
-// deleted).
-func (m *Maintainer) Delete(id relation.TupleID) []TupleRef {
-	tk := id.Key()
-	if m.deleted[tk] {
+// occurrences returns the derivations containing tuple id.
+func (m *Maintainer) occurrences(id relation.TID) []int32 {
+	if int(id)+1 >= len(m.occStart) {
 		return nil
 	}
-	m.deleted[tk] = true
-	var died []string
-	for _, dr := range m.occ[tk] {
-		hits := m.derivHit[dr.refKey]
-		hits[dr.deriv]++
-		if hits[dr.deriv] == 1 {
-			m.derivAlive[dr.refKey]--
-			if m.derivAlive[dr.refKey] == 0 {
-				died = append(died, dr.refKey)
+	return m.occDeriv[m.occStart[id]:m.occStart[id+1]]
+}
+
+// Delete applies one source-tuple deletion and returns the ref IDs of the
+// view tuples that died as a consequence, in ascending order (empty if
+// none, or if the tuple was already deleted). The slice is reused by the
+// next Delete or Undelete.
+func (m *Maintainer) Delete(id relation.TID) []int {
+	m.changed = m.changed[:0]
+	if int(id) < len(m.deleted) && m.deleted[id] {
+		return m.changed
+	}
+	m.setDeleted(id, true)
+	for _, g := range m.occurrences(id) {
+		m.derivHit[g]++
+		if m.derivHit[g] == 1 {
+			ref := m.derivRef[g]
+			m.derivAlive[ref]--
+			if m.derivAlive[ref] == 0 {
+				m.dead[ref] = true
+				m.nDead++
+				m.changed = append(m.changed, int(ref))
 			}
 		}
 	}
-	sort.Strings(died)
-	var out []TupleRef
-	for _, k := range died {
-		ref := m.refs[k]
-		m.dead[k] = true
-		m.deadOrder = append(m.deadOrder, ref)
-		out = append(out, ref)
-	}
-	return out
+	return m.changed
 }
 
-// Undelete reverses a prior Delete and returns the view tuples that came
-// back to life. Tuples never deleted are a no-op.
-func (m *Maintainer) Undelete(id relation.TupleID) []TupleRef {
-	tk := id.Key()
-	if !m.deleted[tk] {
-		return nil
+// Undelete reverses a prior Delete and returns the ref IDs of the view
+// tuples that came back to life, in ascending order. Tuples never deleted
+// are a no-op. The slice is reused by the next Delete or Undelete.
+func (m *Maintainer) Undelete(id relation.TID) []int {
+	m.changed = m.changed[:0]
+	if int(id) >= len(m.deleted) || !m.deleted[id] {
+		return m.changed
 	}
-	delete(m.deleted, tk)
-	var revived []string
-	for _, dr := range m.occ[tk] {
-		hits := m.derivHit[dr.refKey]
-		hits[dr.deriv]--
-		if hits[dr.deriv] == 0 {
-			m.derivAlive[dr.refKey]++
-			if m.derivAlive[dr.refKey] == 1 {
-				revived = append(revived, dr.refKey)
+	m.setDeleted(id, false)
+	for _, g := range m.occurrences(id) {
+		m.derivHit[g]--
+		if m.derivHit[g] == 0 {
+			ref := m.derivRef[g]
+			m.derivAlive[ref]++
+			if m.derivAlive[ref] == 1 {
+				m.dead[ref] = false
+				m.nDead--
+				m.changed = append(m.changed, int(ref))
 			}
 		}
 	}
-	sort.Strings(revived)
-	var out []TupleRef
-	for _, k := range revived {
-		delete(m.dead, k)
-		out = append(out, m.refs[k])
-	}
-	return out
+	return m.changed
 }
 
-// Alive reports whether the view tuple currently survives.
-func (m *Maintainer) Alive(ref TupleRef) bool {
-	k := ref.Key()
-	if _, known := m.derivAlive[k]; !known {
-		return false
+func (m *Maintainer) setDeleted(id relation.TID, del bool) {
+	for int(id) >= len(m.deleted) {
+		// A tuple outside every view (inserted after materialization).
+		m.deleted = append(m.deleted, false)
 	}
-	return !m.dead[k]
+	m.deleted[id] = del
+	if del {
+		m.nDeleted++
+	} else {
+		m.nDeleted--
+	}
+}
+
+// Alive reports whether the view tuple with the given ref ID currently
+// survives; unknown IDs are not alive.
+func (m *Maintainer) Alive(ref int) bool {
+	return ref >= 0 && ref < len(m.dead) && !m.dead[ref]
 }
 
 // DeadCount returns the number of destroyed view tuples.
-func (m *Maintainer) DeadCount() int { return len(m.dead) }
+func (m *Maintainer) DeadCount() int { return m.nDead }
 
 // DeletedCount returns the number of applied source deletions.
-func (m *Maintainer) DeletedCount() int { return len(m.deleted) }
+func (m *Maintainer) DeletedCount() int { return m.nDeleted }
 
 // AliveDerivations returns how many derivations of the view tuple still
 // survive (0 when the tuple is dead or unknown).
-func (m *Maintainer) AliveDerivations(ref TupleRef) int {
-	return m.derivAlive[ref.Key()]
+func (m *Maintainer) AliveDerivations(ref int) int {
+	if ref < 0 || ref >= len(m.derivAlive) {
+		return 0
+	}
+	return int(m.derivAlive[ref])
 }

@@ -9,38 +9,44 @@ import (
 	"delprop/internal/relation"
 )
 
+// ref renders a ref ID as its view tuple.
+func ref(views []*View, id int) string {
+	r, _ := Resolve(views, id)
+	return r.Tuple.String()
+}
+
 func TestMaintainerBasics(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
 	m := NewMaintainer(views)
 
 	johnXML := TupleRef{View: 0, Tuple: tup("John", "XML")}
-	if !m.Alive(johnXML) {
+	if !m.Alive(rid(views, johnXML)) {
 		t.Fatal("fresh maintainer reports dead tuple")
 	}
 	// Kill one derivation: still alive.
-	died := m.Delete(relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
+	died := m.Delete(tid(db, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}))
 	// John/CUBE dies (single derivation via TKDE); John/XML survives via
 	// TODS.
-	if len(died) != 1 || died[0].Tuple.String() != "(John,CUBE)" {
+	if len(died) != 1 || ref(views, died[0]) != "(John,CUBE)" {
 		t.Errorf("died = %v", died)
 	}
-	if !m.Alive(johnXML) {
+	if !m.Alive(rid(views, johnXML)) {
 		t.Error("John/XML should survive one derivation loss")
 	}
 	// Kill the second derivation.
-	died = m.Delete(relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})
-	if len(died) != 1 || died[0].Tuple.String() != "(John,XML)" {
+	died = m.Delete(tid(db, relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}))
+	if len(died) != 1 || ref(views, died[0]) != "(John,XML)" {
 		t.Errorf("died = %v", died)
 	}
-	if m.Alive(johnXML) {
+	if m.Alive(rid(views, johnXML)) {
 		t.Error("John/XML should be dead")
 	}
 	if m.DeadCount() != 2 || m.DeletedCount() != 2 {
 		t.Errorf("counts = %d dead, %d deleted", m.DeadCount(), m.DeletedCount())
 	}
 	// Idempotent delete.
-	if got := m.Delete(relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}); got != nil {
+	if got := m.Delete(tid(db, relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})); len(got) != 0 {
 		t.Errorf("re-delete returned %v", got)
 	}
 }
@@ -51,21 +57,21 @@ func TestMaintainerUndelete(t *testing.T) {
 	m := NewMaintainer(views)
 	id1 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}
 	id2 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}
-	m.Delete(id1)
-	m.Delete(id2)
-	revived := m.Undelete(id2)
-	if len(revived) != 1 || revived[0].Tuple.String() != "(John,XML)" {
+	m.Delete(tid(db, id1))
+	m.Delete(tid(db, id2))
+	revived := m.Undelete(tid(db, id2))
+	if len(revived) != 1 || ref(views, revived[0]) != "(John,XML)" {
 		t.Errorf("revived = %v", revived)
 	}
-	if !m.Alive(TupleRef{View: 0, Tuple: tup("John", "XML")}) {
+	if !m.Alive(rid(views, TupleRef{View: 0, Tuple: tup("John", "XML")})) {
 		t.Error("John/XML not alive after undelete")
 	}
 	// Undelete of never-deleted tuple is a no-op.
-	if got := m.Undelete(relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")}); got != nil {
+	if got := m.Undelete(tid(db, relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")})); len(got) != 0 {
 		t.Errorf("no-op undelete returned %v", got)
 	}
 	// Full rollback restores everything.
-	m.Undelete(id1)
+	m.Undelete(tid(db, id1))
 	if m.DeadCount() != 0 || m.DeletedCount() != 0 {
 		t.Errorf("counts after rollback: %d dead, %d deleted", m.DeadCount(), m.DeletedCount())
 	}
@@ -75,7 +81,7 @@ func TestMaintainerUnknownRef(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
 	m := NewMaintainer(views)
-	if m.Alive(TupleRef{View: 0, Tuple: tup("Nobody", "X")}) {
+	if m.Alive(rid(views, TupleRef{View: 0, Tuple: tup("Nobody", "X")})) {
 		t.Error("unknown ref reported alive")
 	}
 }
@@ -90,17 +96,17 @@ func TestMaintainerClone(t *testing.T) {
 	id2 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}
 	johnXML := TupleRef{View: 0, Tuple: tup("John", "XML")}
 
-	m.Delete(id1)
+	m.Delete(tid(db, id1))
 	c := m.Clone()
 	if c.DeletedCount() != 1 || c.DeadCount() != m.DeadCount() {
 		t.Fatalf("clone state: %d deleted, %d dead", c.DeletedCount(), c.DeadCount())
 	}
 
 	// Mutating the clone leaves the original untouched.
-	if died := c.Delete(id2); len(died) != 1 || died[0].Tuple.String() != "(John,XML)" {
+	if died := c.Delete(tid(db, id2)); len(died) != 1 || ref(views, died[0]) != "(John,XML)" {
 		t.Errorf("clone delete died = %v", died)
 	}
-	if !m.Alive(johnXML) {
+	if !m.Alive(rid(views, johnXML)) {
 		t.Error("clone mutation leaked into original")
 	}
 	if m.DeletedCount() != 1 {
@@ -108,16 +114,16 @@ func TestMaintainerClone(t *testing.T) {
 	}
 
 	// Mutating the original leaves the clone's view of id2 intact.
-	m.Undelete(id1)
-	if c.Alive(johnXML) {
+	m.Undelete(tid(db, id1))
+	if c.Alive(rid(views, johnXML)) {
 		t.Error("original mutation leaked into clone")
 	}
 	// Rolling the clone all the way back restores liveness without
 	// touching the original's counts.
-	c.Undelete(id1)
-	c.Undelete(id2)
-	if !c.Alive(johnXML) || c.DeadCount() != 0 || c.DeletedCount() != 0 {
-		t.Errorf("clone rollback: alive=%v dead=%d deleted=%d", c.Alive(johnXML), c.DeadCount(), c.DeletedCount())
+	c.Undelete(tid(db, id1))
+	c.Undelete(tid(db, id2))
+	if !c.Alive(rid(views, johnXML)) || c.DeadCount() != 0 || c.DeletedCount() != 0 {
+		t.Errorf("clone rollback: alive=%v dead=%d deleted=%d", c.Alive(rid(views, johnXML)), c.DeadCount(), c.DeletedCount())
 	}
 	if m.DeletedCount() != 0 || m.DeadCount() != 0 {
 		t.Errorf("original counts after its own rollback: %d deleted, %d dead", m.DeletedCount(), m.DeadCount())
@@ -141,10 +147,10 @@ func TestMaintainerMatchesReEvaluation(t *testing.T) {
 	for step := 0; step < 60; step++ {
 		id := all[rng.Intn(len(all))]
 		if _, isDel := deleted[id.Key()]; isDel && rng.Intn(2) == 0 {
-			m.Undelete(id)
+			m.Undelete(tid(db, id))
 			delete(deleted, id.Key())
 		} else {
-			m.Delete(id)
+			m.Delete(tid(db, id))
 			deleted[id.Key()] = id
 		}
 		// Cross-check against re-evaluation.
@@ -158,7 +164,7 @@ func TestMaintainerMatchesReEvaluation(t *testing.T) {
 			res2 := cq.MustEvaluate(v.Query, db2)
 			for _, ans := range v.Result.Answers() {
 				ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-				if got, want := m.Alive(ref), res2.Contains(ans.Tuple); got != want {
+				if got, want := m.Alive(rid(views, ref)), res2.Contains(ans.Tuple); got != want {
 					t.Fatalf("step %d: %s alive=%v, reeval=%v (deleted %v)", step, ref, got, want, delList)
 				}
 			}

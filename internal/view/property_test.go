@@ -31,7 +31,7 @@ func TestSurvivesAntiMonotone(t *testing.T) {
 			}
 		}
 		large = append(large, small...)
-		smallSet, largeSet := DeletedSet(small), DeletedSet(large)
+		smallSet, largeSet := idSet(db, small), idSet(db, large)
 		for _, v := range views {
 			for _, ans := range v.Result.Answers() {
 				if !Survives(ans, smallSet) && Survives(ans, largeSet) {
@@ -62,17 +62,17 @@ func TestMaintainerDeleteUndeleteInverse(t *testing.T) {
 			seq = append(seq, all[rng.Intn(len(all))])
 		}
 		for _, id := range seq {
-			m.Delete(id)
+			m.Delete(tid(db, id))
 		}
 		for i := len(seq) - 1; i >= 0; i-- {
-			m.Undelete(seq[i])
+			m.Undelete(tid(db, seq[i]))
 		}
 		if m.DeadCount() != 0 || m.DeletedCount() != 0 {
 			return false
 		}
 		for _, v := range views {
 			for _, ans := range v.Result.Answers() {
-				if !m.Alive(TupleRef{View: v.Index, Tuple: ans.Tuple}) {
+				if !m.Alive(rid(views, TupleRef{View: v.Index, Tuple: ans.Tuple})) {
 					return false
 				}
 			}
@@ -102,7 +102,7 @@ func TestSideEffectPartition(t *testing.T) {
 			}
 		}
 		req, coll := SideEffect(views, del, ids)
-		set := DeletedSet(ids)
+		set := idSet(db, ids)
 		dead := 0
 		for _, v := range views {
 			for _, ans := range v.Result.Answers() {

@@ -5,13 +5,19 @@
 // tuple→view-tuple index the paper's key-preserving observation makes
 // possible ("finding the occurrences of key values of the deleted relation
 // tuples in the view").
+//
+// Every view tuple has a dense ref ID: its view's Offset plus its position
+// in the view's answers. The inverted index and the maintainer are slices
+// indexed by ref ID and by base-tuple ID (relation.TID).
 package view
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"delprop/internal/cq"
 	"delprop/internal/relation"
@@ -22,18 +28,23 @@ type View struct {
 	Index  int // position within the multi-view problem
 	Query  *cq.Query
 	Result *cq.Result
+	// Offset is the ref ID of the view's first answer: the views' answers
+	// are numbered consecutively in view order.
+	Offset int
 }
 
 // Materialize evaluates every query over the instance, producing the view
 // set V. Queries are validated; the first failure aborts.
 func Materialize(queries []*cq.Query, db *relation.Instance) ([]*View, error) {
 	out := make([]*View, len(queries))
+	offset := 0
 	for i, q := range queries {
 		res, err := cq.Evaluate(q, db)
 		if err != nil {
 			return nil, fmt.Errorf("view %d (%s): %w", i, q.Name, err)
 		}
-		out[i] = &View{Index: i, Query: q, Result: res}
+		out[i] = &View{Index: i, Query: q, Result: res, Offset: offset}
+		offset += res.NumAnswers()
 	}
 	return out, nil
 }
@@ -44,9 +55,17 @@ type TupleRef struct {
 	Tuple relation.Tuple
 }
 
-// Key returns a canonical map key for the reference.
+// Key returns a canonical string for the reference. Its byte order is the
+// canonical view-tuple order solvers break ties by.
 func (r TupleRef) Key() string {
-	return fmt.Sprintf("%d|%s", r.View, r.Tuple.Encode())
+	return string(r.AppendKey(nil))
+}
+
+// AppendKey appends Key's bytes to b.
+func (r TupleRef) AppendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(r.View), 10)
+	b = append(b, '|')
+	return r.Tuple.AppendEncode(b)
 }
 
 // String renders the reference as V2(a,b).
@@ -54,55 +73,100 @@ func (r TupleRef) String() string {
 	return fmt.Sprintf("V%d%s", r.View, r.Tuple)
 }
 
+// RefID returns the ref ID of a view tuple, if it is one.
+func RefID(views []*View, ref TupleRef) (int, bool) {
+	if ref.View < 0 || ref.View >= len(views) {
+		return 0, false
+	}
+	v := views[ref.View]
+	pos, ok := v.Result.Position(ref.Tuple)
+	return v.Offset + pos, ok
+}
+
+// Resolve returns the view tuple with the given ref ID and its answer.
+func Resolve(views []*View, id int) (TupleRef, *cq.Answer) {
+	vi := sort.Search(len(views), func(i int) bool { return views[i].Offset > id }) - 1
+	v := views[vi]
+	ans := v.Result.Answers()[id-v.Offset]
+	return TupleRef{View: v.Index, Tuple: ans.Tuple}, ans
+}
+
 // Deletion is the request ΔV: for each view, the set of view tuples to
 // eliminate.
 type Deletion struct {
-	refs  map[string]TupleRef
-	order []string
+	refs []TupleRef
+	seen map[refKey]struct{}
+	// Set by Bind: the views the request was resolved against, the ref
+	// ID of each request (-1 when it names no view tuple) and membership
+	// by ref ID.
+	mu     sync.Mutex
+	views  []*View
+	ids    []int
+	member []bool
+}
+
+type refKey struct {
+	view  int
+	tuple string
 }
 
 // NewDeletion builds a deletion request from references. Duplicates are
 // collapsed.
 func NewDeletion(refs ...TupleRef) *Deletion {
-	d := &Deletion{refs: make(map[string]TupleRef)}
+	d := &Deletion{seen: make(map[refKey]struct{})}
 	for _, r := range refs {
 		d.Add(r)
 	}
 	return d
 }
 
-// Add inserts one reference.
+// Add inserts one reference. After Bind the reference is resolved against
+// the bound views immediately.
 func (d *Deletion) Add(r TupleRef) {
-	k := r.Key()
-	if _, ok := d.refs[k]; ok {
+	k := refKey{r.View, r.Tuple.Encode()}
+	if _, ok := d.seen[k]; ok {
 		return
 	}
-	d.refs[k] = r
-	d.order = append(d.order, k)
+	d.seen[k] = struct{}{}
+	d.refs = append(d.refs, r)
+	if d.views != nil {
+		id, ok := RefID(d.views, r)
+		if !ok {
+			id = -1
+		} else {
+			d.member[id] = true
+		}
+		d.ids = append(d.ids, id)
+	}
 }
 
 // Contains reports whether the reference is requested for deletion.
 func (d *Deletion) Contains(r TupleRef) bool {
-	_, ok := d.refs[r.Key()]
+	_, ok := d.seen[refKey{r.View, r.Tuple.Encode()}]
 	return ok
 }
+
+// Has reports whether the view tuple with the given ref ID is requested.
+// It needs a prior Bind.
+func (d *Deletion) Has(id int) bool { return id >= 0 && id < len(d.member) && d.member[id] }
+
+// IDs returns the ref IDs of the requests in insertion order, -1 for a
+// request naming no view tuple. It needs a prior Bind; the slice is
+// shared and must not be mutated.
+func (d *Deletion) IDs() []int { return d.ids[:len(d.ids):len(d.ids)] }
 
 // Len returns ‖ΔV‖, the total number of view tuples requested.
 func (d *Deletion) Len() int { return len(d.refs) }
 
 // Refs returns the references in insertion order.
 func (d *Deletion) Refs() []TupleRef {
-	out := make([]TupleRef, 0, len(d.refs))
-	for _, k := range d.order {
-		out = append(out, d.refs[k])
-	}
-	return out
+	return append([]TupleRef(nil), d.refs...)
 }
 
 // PerView splits the deletion by view index.
 func (d *Deletion) PerView() map[int][]TupleRef {
 	out := make(map[int][]TupleRef)
-	for _, r := range d.Refs() {
+	for _, r := range d.refs {
 		out[r.View] = append(out[r.View], r)
 	}
 	return out
@@ -111,7 +175,7 @@ func (d *Deletion) PerView() map[int][]TupleRef {
 // String renders the request sorted, for debugging.
 func (d *Deletion) String() string {
 	parts := make([]string, 0, len(d.refs))
-	for _, r := range d.Refs() {
+	for _, r := range d.refs {
 		parts = append(parts, r.String())
 	}
 	sort.Strings(parts)
@@ -122,26 +186,64 @@ func (d *Deletion) String() string {
 // present in its view.
 var ErrUnknownViewTuple = errors.New("view: deletion names unknown view tuple")
 
-// Validate checks that every requested deletion is an actual view tuple.
+// Validate checks that every requested deletion is an actual view tuple,
+// resolving the requests to ref IDs against views (Bind).
 func (d *Deletion) Validate(views []*View) error {
-	for _, r := range d.Refs() {
+	d.Bind(views)
+	for i, r := range d.refs {
 		if r.View < 0 || r.View >= len(views) {
 			return fmt.Errorf("%w: view index %d out of range", ErrUnknownViewTuple, r.View)
 		}
-		if !views[r.View].Result.Contains(r.Tuple) {
+		if d.ids[i] < 0 {
 			return fmt.Errorf("%w: %s", ErrUnknownViewTuple, r)
 		}
 	}
 	return nil
 }
 
-// TotalSize returns ‖V‖: the total number of view tuples across all views.
-func TotalSize(views []*View) int {
-	n := 0
-	for _, v := range views {
-		n += v.Result.NumAnswers()
+// Bind resolves the requests to ref IDs against views, once per view set;
+// a request naming no view tuple resolves to -1. It is safe for
+// concurrent use; IDs and Has read what the last Bind resolved.
+func (d *Deletion) Bind(views []*View) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.views != nil && sameViews(d.views, views) {
+		return
 	}
-	return n
+	ids := make([]int, len(d.refs))
+	member := make([]bool, TotalSize(views))
+	for i, r := range d.refs {
+		id, ok := RefID(views, r)
+		if !ok {
+			id = -1
+		} else {
+			member[id] = true
+		}
+		ids[i] = id
+	}
+	d.views, d.ids, d.member = views, ids, member
+}
+
+func sameViews(a, b []*View) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TotalSize returns ‖V‖: the total number of view tuples across all views,
+// which bounds every ref ID.
+func TotalSize(views []*View) int {
+	if len(views) == 0 {
+		return 0
+	}
+	last := views[len(views)-1]
+	return last.Offset + last.Result.NumAnswers()
 }
 
 // MaxArity returns l = max arity(Q) over the views' queries; 0 for an empty
@@ -157,15 +259,15 @@ func MaxArity(views []*View) int {
 }
 
 // Survives reports whether the answer still holds once the tuples in
-// deleted (keyed by TupleID.Key) are removed from the source: at least one
-// derivation must avoid every deleted tuple. For key-preserving queries
-// there is exactly one derivation, so this degenerates to "no tuple of the
-// join path is deleted".
-func Survives(ans *cq.Answer, deleted map[string]bool) bool {
+// deleted are removed from the source: at least one derivation must avoid
+// every deleted tuple. For key-preserving queries there is exactly one
+// derivation, so this degenerates to "no tuple of the join path is
+// deleted".
+func Survives(ans *cq.Answer, deleted relation.IDSet) bool {
 	for _, d := range ans.Derivations {
 		hit := false
 		for _, id := range d {
-			if deleted[id.Key()] {
+			if deleted.Has(id) {
 				hit = true
 				break
 			}
@@ -177,89 +279,41 @@ func Survives(ans *cq.Answer, deleted map[string]bool) bool {
 	return false
 }
 
-// DeletedSet builds the lookup set used by Survives.
-func DeletedSet(ids []relation.TupleID) map[string]bool {
-	out := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		out[id.Key()] = true
+// Distinct appends the distinct tuple IDs of d to buf in first-occurrence
+// order (self-joins may repeat a tuple across atoms).
+func Distinct(buf []relation.TID, d cq.Derivation) []relation.TID {
+	for i, id := range d {
+		if !containsID(d[:i], id) {
+			buf = append(buf, id)
+		}
 	}
-	return out
+	return buf
 }
 
-// Occurrence records that a base tuple participates in (a derivation of) a
-// view tuple.
-type Occurrence struct {
-	Ref TupleRef
-	// Critical reports whether deleting the base tuple necessarily kills
-	// the view tuple, i.e. the tuple occurs in every derivation of it. For
-	// key-preserving queries every occurrence is critical.
-	Critical bool
-}
-
-// InvertedIndex maps each base tuple to the view tuples it occurs in. This
-// is the structure behind the paper's key observation that "checking the
-// view side-effect can be easily performed by finding the occurrences of
-// key values of the deleted relation tuples in the view".
-type InvertedIndex struct {
-	occ map[string][]Occurrence
-	ids map[string]relation.TupleID
-}
-
-// BuildInvertedIndex scans all views' provenance.
-func BuildInvertedIndex(views []*View) *InvertedIndex {
-	idx := &InvertedIndex{
-		occ: make(map[string][]Occurrence),
-		ids: make(map[string]relation.TupleID),
-	}
+// idBound returns a bound on the tuple IDs in the views' provenance.
+func idBound(views []*View) int {
+	n := 0
 	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-			// Count in how many derivations each base tuple occurs.
-			counts := make(map[string]int)
-			for _, d := range ans.Derivations {
-				for k, id := range d.TupleSet() {
-					counts[k]++
-					idx.ids[k] = id
-				}
-			}
-			total := len(ans.Derivations)
-			for k, c := range counts {
-				idx.occ[k] = append(idx.occ[k], Occurrence{Ref: ref, Critical: c == total})
+		if v.Result.DB != nil && v.Result.DB.NumIDs() > n {
+			n = v.Result.DB.NumIDs()
+		}
+	}
+	return n
+}
+
+// SideEffect computes, per view, how many view tuples are destroyed by
+// deleting the given source tuples (resolved in the views' instance),
+// split into requested (in del) and collateral (side-effect). It
+// re-derives survival from provenance without re-evaluating queries.
+func SideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (removedRequested, removedCollateral []TupleRef) {
+	var set relation.IDSet
+	if len(views) > 0 {
+		for _, id := range deleted {
+			if tid, ok := views[0].Result.DB.ID(id); ok {
+				set.Add(tid)
 			}
 		}
 	}
-	return idx
-}
-
-// Occurrences returns the view tuples the base tuple participates in.
-func (idx *InvertedIndex) Occurrences(id relation.TupleID) []Occurrence {
-	return idx.occ[id.Key()]
-}
-
-// Tuples returns every base tuple that occurs in some view tuple, sorted by
-// key for determinism.
-func (idx *InvertedIndex) Tuples() []relation.TupleID {
-	keys := make([]string, 0, len(idx.ids))
-	for k := range idx.ids {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = idx.ids[k]
-	}
-	return out
-}
-
-// Len returns the number of distinct base tuples appearing in views.
-func (idx *InvertedIndex) Len() int { return len(idx.ids) }
-
-// SideEffect computes, per view, how many view tuples are destroyed by
-// deleting the given source tuples, split into requested (in del) and
-// collateral (side-effect). It re-derives survival from provenance without
-// re-evaluating queries.
-func SideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (removedRequested, removedCollateral []TupleRef) {
-	set := DeletedSet(deleted)
 	for _, v := range views {
 		for _, ans := range v.Result.Answers() {
 			if Survives(ans, set) {
@@ -275,3 +329,90 @@ func SideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (remov
 	}
 	return removedRequested, removedCollateral
 }
+
+// Occurrence records that a base tuple participates in (a derivation of) a
+// view tuple.
+type Occurrence struct {
+	// Ref is the view tuple's ref ID.
+	Ref int
+	// Critical reports whether deleting the base tuple necessarily kills
+	// the view tuple, i.e. the tuple occurs in every derivation of it. For
+	// key-preserving queries every occurrence is critical.
+	Critical bool
+}
+
+// InvertedIndex maps each base tuple to the view tuples it occurs in. This
+// is the structure behind the paper's key observation that "checking the
+// view side-effect can be easily performed by finding the occurrences of
+// key values of the deleted relation tuples in the view".
+type InvertedIndex struct {
+	occ    [][]Occurrence // by tuple ID, in ref ID order
+	tuples int
+}
+
+// BuildInvertedIndex scans all views' provenance.
+func BuildInvertedIndex(views []*View) *InvertedIndex {
+	idx := &InvertedIndex{occ: make([][]Occurrence, idBound(views))}
+	// count[t] = derivations of the current answer containing t.
+	count := make([]int32, len(idx.occ))
+	var touched []relation.TID
+	for _, v := range views {
+		for pos, ans := range v.Result.Answers() {
+			ref := v.Offset + pos
+			touched = touched[:0]
+			for _, d := range ans.Derivations {
+				for i, id := range d {
+					if containsID(d[:i], id) {
+						continue
+					}
+					if count[id] == 0 {
+						touched = append(touched, id)
+					}
+					count[id]++
+				}
+			}
+			total := int32(len(ans.Derivations))
+			for _, id := range touched {
+				if len(idx.occ[id]) == 0 {
+					idx.tuples++
+				}
+				idx.occ[id] = append(idx.occ[id], Occurrence{Ref: ref, Critical: count[id] == total})
+				count[id] = 0
+			}
+		}
+	}
+	return idx
+}
+
+func containsID(ids []relation.TID, id relation.TID) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
+// Occurrences returns the view tuples the base tuple participates in, in
+// ref ID order.
+func (idx *InvertedIndex) Occurrences(id relation.TID) []Occurrence {
+	if int(id) >= len(idx.occ) {
+		return nil
+	}
+	return idx.occ[id]
+}
+
+// Tuples returns every base tuple that occurs in some view tuple, in ID
+// order.
+func (idx *InvertedIndex) Tuples() []relation.TID {
+	out := make([]relation.TID, 0, idx.tuples)
+	for id, occ := range idx.occ {
+		if len(occ) > 0 {
+			out = append(out, relation.TID(id))
+		}
+	}
+	return out
+}
+
+// Len returns the number of distinct base tuples appearing in views.
+func (idx *InvertedIndex) Len() int { return idx.tuples }

@@ -17,6 +17,34 @@ func tup(vals ...string) relation.Tuple {
 	return t
 }
 
+// tid resolves a tuple to its ID in db; absent tuples get an ID no tuple
+// has.
+func tid(db *relation.Instance, id relation.TupleID) relation.TID {
+	t, ok := db.ID(id)
+	if !ok {
+		return relation.TID(db.NumIDs())
+	}
+	return t
+}
+
+// idSet resolves tuples to the ID set Survives takes.
+func idSet(db *relation.Instance, ids []relation.TupleID) relation.IDSet {
+	var s relation.IDSet
+	for _, id := range ids {
+		s.Add(tid(db, id))
+	}
+	return s
+}
+
+// rid resolves a view tuple to its ref ID (-1 when it is none).
+func rid(views []*View, ref TupleRef) int {
+	id, ok := RefID(views, ref)
+	if !ok {
+		return -1
+	}
+	return id
+}
+
 func fig1DB() *relation.Instance {
 	db := relation.NewInstance(
 		relation.MustSchema("T1", []string{"AuName", "Journal"}, []int{0, 1}),
@@ -120,11 +148,11 @@ func TestSurvives(t *testing.T) {
 	johnXML, _ := res.Lookup(tup("John", "XML"))
 	// John/XML has derivations via TKDE and TODS; killing only TKDE leaves
 	// the TODS derivation alive.
-	del := DeletedSet([]relation.TupleID{{Relation: "T1", Tuple: tup("John", "TKDE")}})
+	del := idSet(db, []relation.TupleID{{Relation: "T1", Tuple: tup("John", "TKDE")}})
 	if !Survives(johnXML, del) {
 		t.Error("John/XML should survive deleting T1(John,TKDE)")
 	}
-	del2 := DeletedSet([]relation.TupleID{
+	del2 := idSet(db, []relation.TupleID{
 		{Relation: "T1", Tuple: tup("John", "TKDE")},
 		{Relation: "T1", Tuple: tup("John", "TODS")},
 	})
@@ -132,7 +160,7 @@ func TestSurvives(t *testing.T) {
 		t.Error("John/XML should die when both T1 tuples go")
 	}
 	joeXML, _ := res.Lookup(tup("Joe", "XML"))
-	del3 := DeletedSet([]relation.TupleID{{Relation: "T2", Tuple: tup("TKDE", "XML", "30")}})
+	del3 := idSet(db, []relation.TupleID{{Relation: "T2", Tuple: tup("TKDE", "XML", "30")}})
 	if Survives(joeXML, del3) {
 		t.Error("Joe/XML should die with T2(TKDE,XML,30)")
 	}
@@ -159,7 +187,7 @@ func TestSurvivesMatchesReEvaluation(t *testing.T) {
 		}
 	}
 	for _, del := range deletions {
-		set := DeletedSet(del)
+		set := idSet(db, del)
 		db2 := db.Without(del)
 		for vi, v := range views {
 			res2 := cq.MustEvaluate(v.Query, db2)
@@ -185,13 +213,14 @@ func TestInvertedIndex(t *testing.T) {
 	}
 	// T1(John,TKDE) occurs in John/XML (non-critical: TODS path exists) and
 	// John/CUBE (critical).
-	occ := idx.Occurrences(relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
+	occ := idx.Occurrences(tid(db, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}))
 	if len(occ) != 2 {
 		t.Fatalf("occurrences = %v", occ)
 	}
 	crit := map[string]bool{}
 	for _, o := range occ {
-		crit[o.Ref.Tuple.String()] = o.Critical
+		ref, _ := Resolve(views, o.Ref)
+		crit[ref.Tuple.String()] = o.Critical
 	}
 	if !crit["(John,CUBE)"] {
 		t.Error("John/CUBE occurrence should be critical")
@@ -200,7 +229,7 @@ func TestInvertedIndex(t *testing.T) {
 		t.Error("John/XML occurrence should be non-critical (second derivation)")
 	}
 	// Unknown tuple: no occurrences.
-	if got := idx.Occurrences(relation.TupleID{Relation: "T1", Tuple: tup("Nobody", "X")}); got != nil {
+	if got := idx.Occurrences(tid(db, relation.TupleID{Relation: "T1", Tuple: tup("Nobody", "X")})); got != nil {
 		t.Errorf("unknown tuple occurrences = %v", got)
 	}
 	if got := idx.Tuples(); len(got) != idx.Len() {
