@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
+.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff perfbench-test experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
 
 all: build test
 
@@ -30,6 +30,11 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Self-test of the request benchmark (perfbench/, its own module): keeps
+# BENCHMARK.json in step with the metrics the program prints.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # Regenerate every paper table/figure/theorem experiment (E1..E20).
 experiments:

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -303,36 +302,26 @@ func (p *Problem) path(buf []relation.TID, id int) []relation.TID {
 }
 
 // ranks returns the canonical order of the tuples in the views: rank[t]
-// is t's position when sorted by TupleID.Key bytes. Built once per
-// skeleton, it replaces every Key-string sort and tie-break.
+// is t's position when sorted by TupleID.Key. Built once per skeleton, it
+// replaces every Key-string sort and tie-break.
 func (p *Problem) ranks() []int32 {
 	s := p.skeleton()
 	s.rankOnce.Do(func() {
-		ids := s.inverted.Tuples()
-		var keys []byte
-		ends := make([]int, len(ids))
-		for i, id := range ids {
-			keys = p.DB.ByID(id).AppendKey(keys)
-			ends[i] = len(keys)
+		type keyed struct {
+			id  relation.TID
+			key string
 		}
-		key := func(i int) []byte {
-			start := 0
-			if i > 0 {
-				start = ends[i-1]
-			}
-			return keys[start:ends[i]]
-		}
-		order := make([]int, len(ids))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return bytes.Compare(key(order[a]), key(order[b])) < 0 })
+		var ks []keyed
 		s.rank = make([]int32, p.DB.NumIDs())
-		for i := range s.rank {
-			s.rank[i] = -1
+		for t := range s.rank {
+			s.rank[t] = -1
+			if id := relation.TID(t); len(s.inverted.Occurrences(id)) > 0 {
+				ks = append(ks, keyed{id, p.DB.ByID(id).Key()})
+			}
 		}
-		for r, i := range order {
-			s.rank[ids[i]] = int32(r)
+		sort.Slice(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
+		for r, k := range ks {
+			s.rank[k.id] = int32(r)
 		}
 	})
 	return s.rank
@@ -353,14 +342,15 @@ func (p *Problem) sortTuples(ids []relation.TID) {
 	})
 }
 
-// sortRefs orders ref IDs canonically, by TupleRef.Key bytes.
+// refKey returns the canonical sort key of the view tuple with ref ID id.
+func (p *Problem) refKey(id int) string {
+	ref, _ := view.Resolve(p.Views, id)
+	return ref.Key()
+}
+
+// sortRefs orders ref IDs canonically, by TupleRef.Key.
 func (p *Problem) sortRefs(ids []int) {
-	keys := make(map[int]string, len(ids))
-	for _, id := range ids {
-		ref, _ := view.Resolve(p.Views, id)
-		keys[id] = string(ref.AppendKey(nil))
-	}
-	sort.Slice(ids, func(i, j int) bool { return keys[ids[i]] < keys[ids[j]] })
+	sort.Slice(ids, func(i, j int) bool { return p.refKey(ids[i]) < p.refKey(ids[j]) })
 }
 
 // candidates returns the base tuples occurring in some derivation of
@@ -476,12 +466,29 @@ func (p *Problem) Evaluate(sol *Solution) Report {
 // evaluate scores the deletion of the tuples in set, listing the
 // collateral view tuples when asked. DeletedCount is left to the caller.
 func (p *Problem) evaluate(set relation.IDSet, collateral bool) Report {
+	return p.score(func(_ *view.View, ans *cq.Answer) bool { return !view.Survives(ans, set) }, collateral)
+}
+
+// evaluateIDs scores the deletion of the given tuple IDs.
+func (p *Problem) evaluateIDs(ids []relation.TID) Report {
+	var set relation.IDSet
+	for _, id := range ids {
+		set.Add(id)
+	}
+	rep := p.evaluate(set, true)
+	rep.DeletedCount = len(ids)
+	return rep
+}
+
+// score tallies the objective given which view tuples a deletion
+// destroys.
+func (p *Problem) score(destroyed func(*view.View, *cq.Answer) bool, collateral bool) Report {
 	var rep Report
 	p.requested()
 	removedRequested := 0
 	for _, v := range p.Views {
 		for pos, ans := range v.Result.Answers() {
-			if view.Survives(ans, set) {
+			if !destroyed(v, ans) {
 				continue
 			}
 			id := v.Offset + pos
@@ -501,45 +508,21 @@ func (p *Problem) evaluate(set relation.IDSet, collateral bool) Report {
 	return rep
 }
 
-// evaluateIDs scores the deletion of the given tuple IDs.
-func (p *Problem) evaluateIDs(ids []relation.TID) Report {
-	var set relation.IDSet
-	for _, id := range ids {
-		set.Add(id)
-	}
-	rep := p.evaluate(set, true)
-	rep.DeletedCount = len(ids)
-	return rep
-}
-
 // EvaluateByReevaluation recomputes every view on D\ΔD and scores the
 // solution from scratch. Slower but independent of the provenance cache;
 // used to validate Evaluate.
 func (p *Problem) EvaluateByReevaluation(sol *Solution) (Report, error) {
 	db2 := p.DB.Without(sol.Deleted)
-	rep := Report{DeletedCount: len(sol.Deleted)}
-	removedRequested := 0
-	for _, v := range p.Views {
-		res2, err := cq.Evaluate(v.Query, db2)
+	after := make([]*cq.Result, len(p.Views))
+	for i, v := range p.Views {
+		res, err := cq.Evaluate(v.Query, db2)
 		if err != nil {
 			return Report{}, err
 		}
-		for _, ans := range v.Result.Answers() {
-			if res2.Contains(ans.Tuple) {
-				continue
-			}
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if p.Delta.Contains(ref) {
-				removedRequested++
-			} else {
-				rep.Collateral = append(rep.Collateral, ref)
-				rep.SideEffect += p.Weight(ref)
-			}
-		}
+		after[i] = res
 	}
-	rep.BadRemaining = p.Delta.Len() - removedRequested
-	rep.Feasible = rep.BadRemaining == 0
-	rep.Balanced = float64(rep.BadRemaining) + rep.SideEffect
+	rep := p.score(func(v *view.View, ans *cq.Answer) bool { return !after[v.Index].Contains(ans.Tuple) }, true)
+	rep.DeletedCount = len(sol.Deleted)
 	return rep, nil
 }
 

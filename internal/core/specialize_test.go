@@ -167,3 +167,53 @@ func TestSpecializeSolveMatchesCold(t *testing.T) {
 		}
 	}
 }
+
+// TestIsPivotForestMemoized: the pivot-forest verdict and layout are built
+// once per skeleton; Specialize derivatives reuse them, so the classify
+// check allocates nothing and every derivative's forest shares one layout.
+func TestIsPivotForestMemoized(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		w     *workload.Workload
+		pivot bool
+	}{
+		{"pivot", workload.Pivot(workload.PivotConfig{Seed: 1, Roots: 6, ChildrenPerRoot: 3, GrandPerChild: 2}), true},
+		{"star", workload.Star(workload.StarConfig{Seed: 1, Relations: 3, HubValues: 3, RowsPerRelation: 6, Queries: 2, AtomsPerQuery: 2}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			skel, err := NewProblem(tc.w.DB, tc.w.Queries, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var derivs []*Problem
+			for i := int64(0); i < 8; i++ {
+				d, err := skel.Specialize(workload.SampleDeletion(skel.Views, 2, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				derivs = append(derivs, d)
+			}
+			if got := IsPivotForest(derivs[0]); got != tc.pivot {
+				t.Fatalf("IsPivotForest = %v, want %v", got, tc.pivot)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				if IsPivotForest(derivs[i%len(derivs)]) != tc.pivot {
+					t.Error("verdict changed across derivatives")
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("IsPivotForest on a derivative allocated %v times per call; the layout must not be rebuilt", allocs)
+			}
+			if !tc.pivot {
+				return
+			}
+			f1, err1 := BuildPivotForest(derivs[1])
+			f2, err2 := BuildPivotForest(derivs[2])
+			if err1 != nil || err2 != nil || f1.pivotLayout != f2.pivotLayout {
+				t.Error("derivatives must share one memoized forest layout")
+			}
+		})
+	}
+}

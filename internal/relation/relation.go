@@ -71,12 +71,16 @@ func (t Tuple) Encode() string {
 // A map lookup keyed by string(t.AppendEncode(buf[:0])) does not allocate.
 func (t Tuple) AppendEncode(b []byte) []byte {
 	for _, v := range t {
-		b = strconv.AppendInt(b, int64(len(v)), 10)
-		b = append(b, ':')
-		b = append(b, v...)
-		b = append(b, ';')
+		b = appendValue(b, v)
 	}
 	return b
+}
+
+func appendValue(b []byte, v Value) []byte {
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, ':')
+	b = append(b, v...)
+	return append(b, ';')
 }
 
 // Project returns the sub-tuple at the given positions. It panics if a
@@ -279,10 +283,7 @@ func (r *Relation) Len() int { return len(r.order) }
 // (t.Project(positions).Encode()) without building the projection.
 func appendEncodeAt(b []byte, t Tuple, positions []int) []byte {
 	for _, p := range positions {
-		b = strconv.AppendInt(b, int64(len(t[p])), 10)
-		b = append(b, ':')
-		b = append(b, t[p]...)
-		b = append(b, ';')
+		b = appendValue(b, t[p])
 	}
 	return b
 }

@@ -101,7 +101,7 @@ func TestSideEffectPartition(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		req, coll := SideEffect(views, del, ids)
+		req, coll := sideEffect(views, del, ids)
 		set := idSet(db, ids)
 		dead := 0
 		for _, v := range views {

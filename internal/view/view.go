@@ -207,7 +207,7 @@ func (d *Deletion) Validate(views []*View) error {
 func (d *Deletion) Bind(views []*View) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.views != nil && sameViews(d.views, views) {
+	if d.views != nil && len(d.views) == len(views) && (len(views) == 0 || &d.views[0] == &views[0]) {
 		return
 	}
 	ids := make([]int, len(d.refs))
@@ -222,18 +222,6 @@ func (d *Deletion) Bind(views []*View) {
 		ids[i] = id
 	}
 	d.views, d.ids, d.member = views, ids, member
-}
-
-func sameViews(a, b []*View) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TotalSize returns ‖V‖: the total number of view tuples across all views,
@@ -290,44 +278,13 @@ func Distinct(buf []relation.TID, d cq.Derivation) []relation.TID {
 	return buf
 }
 
-// idBound returns a bound on the tuple IDs in the views' provenance.
+// idBound returns a bound on the tuple IDs in the views' provenance: the
+// views share one instance.
 func idBound(views []*View) int {
-	n := 0
-	for _, v := range views {
-		if v.Result.DB != nil && v.Result.DB.NumIDs() > n {
-			n = v.Result.DB.NumIDs()
-		}
+	if len(views) == 0 {
+		return 0
 	}
-	return n
-}
-
-// SideEffect computes, per view, how many view tuples are destroyed by
-// deleting the given source tuples (resolved in the views' instance),
-// split into requested (in del) and collateral (side-effect). It
-// re-derives survival from provenance without re-evaluating queries.
-func SideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (removedRequested, removedCollateral []TupleRef) {
-	var set relation.IDSet
-	if len(views) > 0 {
-		for _, id := range deleted {
-			if tid, ok := views[0].Result.DB.ID(id); ok {
-				set.Add(tid)
-			}
-		}
-	}
-	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			if Survives(ans, set) {
-				continue
-			}
-			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if del != nil && del.Contains(ref) {
-				removedRequested = append(removedRequested, ref)
-			} else {
-				removedCollateral = append(removedCollateral, ref)
-			}
-		}
-	}
-	return removedRequested, removedCollateral
+	return views[0].Result.DB.NumIDs()
 }
 
 // Occurrence records that a base tuple participates in (a derivation of) a
@@ -400,18 +357,6 @@ func (idx *InvertedIndex) Occurrences(id relation.TID) []Occurrence {
 		return nil
 	}
 	return idx.occ[id]
-}
-
-// Tuples returns every base tuple that occurs in some view tuple, in ID
-// order.
-func (idx *InvertedIndex) Tuples() []relation.TID {
-	out := make([]relation.TID, 0, idx.tuples)
-	for id, occ := range idx.occ {
-		if len(occ) > 0 {
-			out = append(out, relation.TID(id))
-		}
-	}
-	return out
 }
 
 // Len returns the number of distinct base tuples appearing in views.
