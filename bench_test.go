@@ -326,7 +326,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			for _, v := range views {
 				for _, ans := range v.Result.Answers() {
 					for _, d := range ans.Derivations {
-						n += len(view.Distinct(nil, d))
+						n += len(view.Distinct(d))
 					}
 				}
 			}

@@ -59,14 +59,13 @@ func DualBound(p *Problem) (float64, error) {
 func (p *Problem) capacities(cands relation.IDSet, keep []bool) []float64 {
 	capacity := make([]float64, p.DB.NumIDs())
 	p.requested()
-	var path []relation.TID
 	for _, v := range p.Views {
 		for pos, ans := range v.Result.Answers() {
 			id := v.Offset + pos
 			if p.Delta.Has(id) || (keep != nil && !keep[id]) || len(ans.Derivations) == 0 {
 				continue
 			}
-			path = view.Distinct(path[:0], ans.Derivations[0])
+			path := view.Distinct(ans.Derivations[0])
 			share := p.weight(id) / float64(len(path))
 			for _, t := range path {
 				if cands.Has(t) {
@@ -100,7 +99,7 @@ func (p *Problem) requests(cands relation.IDSet) []request {
 			continue
 		}
 		var path []relation.TID
-		for _, t := range view.Distinct(nil, ans.Derivations[0]) {
+		for _, t := range view.Distinct(ans.Derivations[0]) {
 			if cands.Has(t) {
 				path = append(path, t)
 			}

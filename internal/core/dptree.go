@@ -129,7 +129,7 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 			if len(ans.Derivations) != 1 {
 				return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, len(ans.Derivations))
 			}
-			refs[v.Offset+pos] = view.Distinct(nil, ans.Derivations[0])
+			refs[v.Offset+pos] = view.Distinct(ans.Derivations[0])
 		}
 	}
 	// Union-find over tuple IDs to find components.
@@ -216,21 +216,20 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 // kill-sets) yields a consistent layout; the containment of each path
 // element in the next one's ancestor set is verified.
 func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relation.TID, error) {
-	// derivsOf[t] = refs of the component's derivations containing t.
-	derivsOf := make(map[relation.TID][]int)
-	for _, ref := range idxs {
-		for _, t := range refs[ref] {
-			derivsOf[t] = append(derivsOf[t], ref)
+	// anc(t) = the tuples present in every derivation containing t (the
+	// inverted index lists them), computed on first use: an instance
+	// that is not a pivot forest usually fails on its first paths.
+	anc := make(map[relation.TID][]relation.TID)
+	ancOf := func(t relation.TID) []relation.TID {
+		if a, ok := anc[t]; ok {
+			return a
 		}
-	}
-	// anc[t] = the tuples present in every derivation containing t.
-	anc := make(map[relation.TID][]relation.TID, len(derivsOf))
-	for t, ds := range derivsOf {
+		occ := p.Inverted().Occurrences(t)
 		var in []relation.TID
-		for _, cand := range refs[ds[0]] {
+		for _, cand := range refs[occ[0].Ref] {
 			inAll := true
-			for _, ref := range ds[1:] {
-				if !containsTID(refs[ref], cand) {
+			for _, o := range occ[1:] {
+				if !containsTID(refs[o.Ref], cand) {
 					inAll = false
 					break
 				}
@@ -240,13 +239,14 @@ func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relatio
 			}
 		}
 		anc[t] = in
+		return in
 	}
 	rank := p.ranks()
 	out := make([][]relation.TID, len(idxs))
 	for i, ref := range idxs {
 		path := append([]relation.TID(nil), refs[ref]...)
 		sort.Slice(path, func(a, b int) bool {
-			sa, sb := len(anc[path[a]]), len(anc[path[b]])
+			sa, sb := len(ancOf(path[a])), len(ancOf(path[b]))
 			if sa != sb {
 				return sa < sb
 			}
@@ -255,7 +255,7 @@ func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relatio
 		// Verify the root-path property: every element lies in the
 		// ancestor set of its successor.
 		for j := 0; j+1 < len(path); j++ {
-			if !containsTID(anc[path[j+1]], path[j]) {
+			if !containsTID(ancOf(path[j+1]), path[j]) {
 				return nil, fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, p.DB.ByID(path[j]), p.DB.ByID(path[j+1]))
 			}
 		}

@@ -76,7 +76,7 @@ func ExplainRequest(p *Problem, ref view.TupleRef) (string, error) {
 	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, len(ans.Derivations))
 	for di, d := range ans.Derivations {
 		fmt.Fprintf(&b, "  derivation %d: %s\n", di+1, d.Format(p.DB))
-		path := view.Distinct(nil, d)
+		path := append([]relation.TID(nil), view.Distinct(d)...)
 		p.sortTuples(path)
 		for _, t := range path {
 			rep := p.evaluateIDs([]relation.TID{t})

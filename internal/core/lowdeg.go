@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"delprop/internal/relation"
+	"delprop/internal/view"
 )
 
 // LowDegTree implements Algorithm 2 (LowDegTreeVSE) for a fixed degree cap
@@ -43,13 +44,15 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	// number of base tuples on r's join path, as in Claim 2).
 	width := math.Sqrt(float64(p.TotalViewSize()))
 	keepPreserved := make([]bool, p.TotalViewSize())
-	var path []relation.TID
 	for id := range keepPreserved {
 		if p.Delta.Has(id) {
 			continue
 		}
-		path = p.path(path[:0], id)
-		if float64(len(path)) <= width {
+		k := 0
+		if ans := p.answer(id); len(ans.Derivations) > 0 {
+			k = len(view.Distinct(ans.Derivations[0]))
+		}
+		if float64(k) <= width {
 			keepPreserved[id] = true
 		}
 	}

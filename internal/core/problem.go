@@ -291,16 +291,6 @@ func (p *Problem) answer(id int) *cq.Answer {
 	return ans
 }
 
-// path returns the distinct tuples of the first derivation of ref ID id —
-// the join path, for key-preserving queries — appended to buf.
-func (p *Problem) path(buf []relation.TID, id int) []relation.TID {
-	ans := p.answer(id)
-	if len(ans.Derivations) == 0 {
-		return buf
-	}
-	return view.Distinct(buf, ans.Derivations[0])
-}
-
 // ranks returns the canonical order of the tuples in the views: rank[t]
 // is t's position when sorted by TupleID.Key. Built once per skeleton, it
 // replaces every Key-string sort and tie-break.

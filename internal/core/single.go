@@ -39,7 +39,7 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 	bestCost := 0.0
 	// Canonical order makes the tie-break between equally cheap tuples
 	// deterministic.
-	path := view.Distinct(nil, ans.Derivations[0])
+	path := append([]relation.TID(nil), view.Distinct(ans.Derivations[0])...)
 	p.sortTuples(path)
 	for _, t := range path {
 		st.Checkpoint()

@@ -79,7 +79,7 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		}
 		for _, d := range p.answer(ref).Derivations {
 			var path []int
-			for _, t := range view.Distinct(nil, d) {
+			for _, t := range view.Distinct(d) {
 				path = append(path, idx[t])
 			}
 			sort.Ints(path)
@@ -302,7 +302,7 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 		}
 		// Any single tuple of the path is optimal (cost 1); take the
 		// first in canonical order so the answer is deterministic.
-		if path := view.Distinct(nil, ans.Derivations[0]); len(path) > 0 {
+		if path := append([]relation.TID(nil), view.Distinct(ans.Derivations[0])...); len(path) > 0 {
 			p.sortTuples(path)
 			return p.solution(path[:1]), nil
 		}

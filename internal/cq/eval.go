@@ -185,8 +185,12 @@ type evaluator struct {
 	key        relation.Tuple
 	headBuf    relation.Tuple
 	encBuf     []byte
-	// pool backs the emitted derivations, one chunk per many answers.
-	pool []relation.TID
+	// The emitted answers, head tuples and derivations are carved from
+	// pooled blocks, so an answer costs no allocation of its own.
+	answers []Answer
+	heads   []relation.Value
+	derivs  []Derivation
+	tids    []relation.TID
 }
 
 type planStep struct {
@@ -377,8 +381,16 @@ func (ev *evaluator) unbind(st *planStep) {
 	}
 }
 
-// derivationChunk sizes the blocks the emitted derivations are cut from.
-const derivationChunk = 4096
+// carve returns n fresh elements from *pool, refilling it with a block
+// sized by hint (capped) when it runs short.
+func carve[T any](pool *[]T, n, hint int) []T {
+	if len(*pool) < n {
+		*pool = make([]T, max(n, min(hint, 1024)))
+	}
+	s := (*pool)[:n:n]
+	*pool = (*pool)[n:]
+	return s
+}
 
 // emit records the current complete match as an answer + derivation.
 func (ev *evaluator) emit() {
@@ -391,11 +403,16 @@ func (ev *evaluator) emit() {
 	}
 	ev.encBuf = ev.headBuf.AppendEncode(ev.encBuf[:0])
 	res := ev.res
+	hint := len(res.answers) + 8
 	pos, ok := res.index[string(ev.encBuf)]
 	if !ok {
 		pos = len(res.answers)
 		res.index[string(ev.encBuf)] = pos
-		res.answers = append(res.answers, &Answer{Tuple: ev.headBuf.Clone()})
+		ans := &carve(&ev.answers, 1, hint)[0]
+		ans.Tuple = carve(&ev.heads, len(ev.headBuf), hint*len(ev.headBuf))
+		copy(ans.Tuple, ev.headBuf)
+		ans.Derivations = carve(&ev.derivs, 1, hint)[:0]
+		res.answers = append(res.answers, ans)
 	}
 	ans := res.answers[pos]
 	// Distinct matches always produce distinct derivations for safe
@@ -406,12 +423,7 @@ func (ev *evaluator) emit() {
 			return
 		}
 	}
-	n := len(ev.derivation)
-	if len(ev.pool) < n {
-		ev.pool = make([]relation.TID, max(derivationChunk, n))
-	}
-	der := Derivation(ev.pool[:n:n])
-	ev.pool = ev.pool[n:]
+	der := Derivation(carve(&ev.tids, len(ev.derivation), hint*len(ev.derivation)))
 	copy(der, ev.derivation)
 	ans.Derivations = append(ans.Derivations, der)
 }

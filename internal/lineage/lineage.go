@@ -46,7 +46,7 @@ func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
 	out := make([]Witness, 0, len(ans.Derivations))
 	for _, d := range ans.Derivations {
 		var w Witness
-		for _, t := range view.Distinct(nil, d) {
+		for _, t := range view.Distinct(d) {
 			w = append(w, db.ByID(t))
 		}
 		sort.Slice(w, func(i, j int) bool { return w[i].Key() < w[j].Key() })

@@ -267,15 +267,22 @@ func Survives(ans *cq.Answer, deleted relation.IDSet) bool {
 	return false
 }
 
-// Distinct appends the distinct tuple IDs of d to buf in first-occurrence
-// order (self-joins may repeat a tuple across atoms).
-func Distinct(buf []relation.TID, d cq.Derivation) []relation.TID {
+// Distinct returns the distinct tuple IDs of d in first-occurrence order
+// (self-joins may repeat a tuple across atoms). Without repeats it returns
+// d itself, which must not be mutated.
+func Distinct(d cq.Derivation) []relation.TID {
 	for i, id := range d {
-		if !containsID(d[:i], id) {
-			buf = append(buf, id)
+		if containsID(d[:i], id) {
+			out := append([]relation.TID(nil), d[:i]...)
+			for _, id := range d[i+1:] {
+				if !containsID(out, id) {
+					out = append(out, id)
+				}
+			}
+			return out
 		}
 	}
-	return buf
+	return d
 }
 
 // idBound returns a bound on the tuple IDs in the views' provenance: the
@@ -309,35 +316,49 @@ type InvertedIndex struct {
 
 // BuildInvertedIndex scans all views' provenance.
 func BuildInvertedIndex(views []*View) *InvertedIndex {
-	idx := &InvertedIndex{occ: make([][]Occurrence, idBound(views))}
-	// count[t] = derivations of the current answer containing t.
-	count := make([]int32, len(idx.occ))
+	nt := idBound(views)
+	// scan yields every (tuple, occurrence) pair in ref order; count[t]
+	// is the number of the current answer's derivations containing t.
+	count := make([]int32, nt)
 	var touched []relation.TID
-	for _, v := range views {
-		for pos, ans := range v.Result.Answers() {
-			ref := v.Offset + pos
-			touched = touched[:0]
-			for _, d := range ans.Derivations {
-				for i, id := range d {
-					if containsID(d[:i], id) {
-						continue
+	scan := func(yield func(relation.TID, Occurrence)) {
+		for _, v := range views {
+			for pos, ans := range v.Result.Answers() {
+				touched = touched[:0]
+				for _, d := range ans.Derivations {
+					for i, id := range d {
+						if containsID(d[:i], id) {
+							continue
+						}
+						if count[id] == 0 {
+							touched = append(touched, id)
+						}
+						count[id]++
 					}
-					if count[id] == 0 {
-						touched = append(touched, id)
-					}
-					count[id]++
 				}
-			}
-			total := int32(len(ans.Derivations))
-			for _, id := range touched {
-				if len(idx.occ[id]) == 0 {
-					idx.tuples++
+				total := int32(len(ans.Derivations))
+				for _, id := range touched {
+					yield(id, Occurrence{Ref: v.Offset + pos, Critical: count[id] == total})
+					count[id] = 0
 				}
-				idx.occ[id] = append(idx.occ[id], Occurrence{Ref: ref, Critical: count[id] == total})
-				count[id] = 0
 			}
 		}
 	}
+	// Count, then fill one backing array with a row per tuple.
+	start := make([]int, nt+1)
+	scan(func(id relation.TID, _ Occurrence) { start[id+1]++ })
+	for t := 0; t < nt; t++ {
+		start[t+1] += start[t]
+	}
+	backing := make([]Occurrence, 0, start[nt])
+	idx := &InvertedIndex{occ: make([][]Occurrence, nt)}
+	for t := range idx.occ {
+		idx.occ[t] = backing[start[t]:start[t]:start[t+1]]
+		if start[t+1] > start[t] {
+			idx.tuples++
+		}
+	}
+	scan(func(id relation.TID, o Occurrence) { idx.occ[id] = append(idx.occ[id], o) })
 	return idx
 }
 
