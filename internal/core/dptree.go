@@ -45,7 +45,6 @@ type forestProto struct {
 // preserved weight and the requested view tuples ending at every node.
 type PivotForest struct {
 	*pivotLayout
-	db *relation.Instance
 	// preservedWeight[n] is the total weight of preserved view tuples
 	// whose join path ends at node n.
 	preservedWeight []float64
@@ -53,15 +52,6 @@ type PivotForest struct {
 	deltaEndpoints []int
 	// hasDelta marks subtrees worth solving.
 	hasDelta []bool
-}
-
-// Roots returns the pivot tuples, one per component.
-func (f *PivotForest) Roots() []relation.TupleID {
-	out := make([]relation.TupleID, len(f.roots))
-	for i, r := range f.roots {
-		out[i] = f.db.ByID(f.nodes[r].id)
-	}
-	return out
 }
 
 // Size returns the number of nodes (base tuples appearing in views).
@@ -81,7 +71,6 @@ func BuildPivotForest(p *Problem) (*PivotForest, error) {
 	}
 	f := &PivotForest{
 		pivotLayout:     layout,
-		db:              p.DB,
 		preservedWeight: make([]float64, len(layout.nodes)),
 		deltaEndpoints:  make([]int, len(layout.nodes)),
 		hasDelta:        make([]bool, len(layout.nodes)),

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -297,21 +298,32 @@ func (p *Problem) answer(id int) *cq.Answer {
 func (p *Problem) ranks() []int32 {
 	s := p.skeleton()
 	s.rankOnce.Do(func() {
-		type keyed struct {
-			id  relation.TID
-			key string
-		}
-		var ks []keyed
+		// The keys of the tuples in views, back to back in one buffer.
 		s.rank = make([]int32, p.DB.NumIDs())
+		var ids []relation.TID
+		var keys []byte
+		var ends []int
 		for t := range s.rank {
 			s.rank[t] = -1
 			if id := relation.TID(t); len(s.inverted.Occurrences(id)) > 0 {
-				ks = append(ks, keyed{id, p.DB.ByID(id).Key()})
+				ids = append(ids, id)
+				keys = p.DB.ByID(id).AppendKey(keys)
+				ends = append(ends, len(keys))
 			}
 		}
-		sort.Slice(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
-		for r, k := range ks {
-			s.rank[k.id] = int32(r)
+		key := func(i int) []byte {
+			if i == 0 {
+				return keys[:ends[0]]
+			}
+			return keys[ends[i-1]:ends[i]]
+		}
+		order := make([]int, len(ids))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return bytes.Compare(key(order[a]), key(order[b])) < 0 })
+		for r, i := range order {
+			s.rank[ids[i]] = int32(r)
 		}
 	})
 	return s.rank

@@ -540,9 +540,6 @@ func TestDerivationHelpers(t *testing.T) {
 	if got := d.Format(db); got != "A(1) ⋈ B(2) ⋈ A(1)" {
 		t.Errorf("Format = %q", got)
 	}
-	if !d.Equal(Derivation{0, 1, 0}) || d.Equal(Derivation{0, 1}) || d.Equal(Derivation{0, 1, 1}) {
-		t.Error("Equal")
-	}
 }
 
 func TestExplainPlan(t *testing.T) {

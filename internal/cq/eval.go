@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,19 +22,6 @@ func (d Derivation) Format(db *relation.Instance) string {
 		parts[i] = db.ByID(id).String()
 	}
 	return strings.Join(parts, " ⋈ ")
-}
-
-// Equal reports whether two derivations match the same tuple per atom.
-func (d Derivation) Equal(e Derivation) bool {
-	if len(d) != len(e) {
-		return false
-	}
-	for i := range d {
-		if d[i] != e[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Answer is one view tuple: a head tuple together with every derivation
@@ -170,15 +158,10 @@ type evaluator struct {
 	db  *relation.Instance
 	res *Result
 
-	order []int // atom evaluation order (indexes into q.Body)
-	// Variables are numbered in body order; slot[ai][p] is the variable
-	// number at position p of atom ai, or -1 for a constant.
-	slot  [][]int
-	head  []int
-	vals  []relation.Value
-	bound []bool
-	// steps[s] is the plan step for atom order[s]: its bound positions
-	// and the index over them (built on first use).
+	// Variables are numbered; vals holds the current assignment. The plan
+	// fixes which variables each step binds, so no bound flags are kept.
+	vals       []relation.Value
+	head       []int // variable number per head position, -1 for a constant
 	steps      []planStep
 	indexes    map[string]*relation.Index // keyed by relation + positions
 	derivation Derivation                 // per original body position
@@ -193,36 +176,45 @@ type evaluator struct {
 	tids    []relation.TID
 }
 
+// planStep joins one atom. Per position, slot is the variable number (-1
+// for a constant) and bind reports whether this position binds it rather
+// than checks it. boundPos lists the positions known before the step —
+// constants and variables of earlier steps — which its index covers.
 type planStep struct {
 	atom     int
 	rel      *relation.Relation
+	slot     []int
+	bind     []bool
 	boundPos []int
-	idx      *relation.Index
-	indexKey string
-	// binds lists the variable numbers this step binds first.
-	binds []int
+	idx      *relation.Index // built on first use
 }
 
 func (ev *evaluator) run() {
-	ev.order = ev.planOrder()
 	vars := make(map[string]int)
-	number := func(v string) int {
-		n, ok := vars[v]
-		if !ok {
-			n = len(vars)
-			vars[v] = n
-		}
-		return n
-	}
-	ev.slot = make([][]int, len(ev.q.Body))
-	for ai, a := range ev.q.Body {
-		ev.slot[ai] = make([]int, len(a.Terms))
+	bound := make(map[string]bool)
+	for _, ai := range ev.planOrder() {
+		a := ev.q.Body[ai]
+		st := planStep{atom: ai, rel: ev.db.Relation(a.Relation), slot: make([]int, len(a.Terms)), bind: make([]bool, len(a.Terms))}
 		for p, t := range a.Terms {
-			ev.slot[ai][p] = -1
-			if t.IsVar() {
-				ev.slot[ai][p] = number(t.Var)
+			st.slot[p] = -1
+			if !t.IsVar() || bound[t.Var] {
+				st.boundPos = append(st.boundPos, p)
 			}
+			if !t.IsVar() {
+				continue
+			}
+			n, ok := vars[t.Var]
+			if !ok {
+				n = len(vars)
+				vars[t.Var] = n
+				st.bind[p] = true
+			}
+			st.slot[p] = n
 		}
+		for _, t := range a.Terms {
+			bound[t.Var] = t.IsVar()
+		}
+		ev.steps = append(ev.steps, st)
 	}
 	ev.head = make([]int, len(ev.q.Head))
 	for i, t := range ev.q.Head {
@@ -232,30 +224,7 @@ func (ev *evaluator) run() {
 		}
 	}
 	ev.vals = make([]relation.Value, len(vars))
-	ev.bound = make([]bool, len(vars))
-	// Positions are bound by constants and by variables of earlier steps;
-	// both sets are fixed by the plan, so every step's index is built once.
-	seen := make([]bool, len(vars))
 	ev.indexes = make(map[string]*relation.Index)
-	for _, ai := range ev.order {
-		a := ev.q.Body[ai]
-		st := planStep{atom: ai, rel: ev.db.Relation(a.Relation)}
-		for p, n := range ev.slot[ai] {
-			if n < 0 || seen[n] {
-				st.boundPos = append(st.boundPos, p)
-			}
-		}
-		for _, n := range ev.slot[ai] {
-			if n >= 0 && !seen[n] {
-				seen[n] = true
-				st.binds = append(st.binds, n)
-			}
-		}
-		if len(st.boundPos) > 0 {
-			st.indexKey = indexKey(a.Relation, st.boundPos)
-		}
-		ev.steps = append(ev.steps, st)
-	}
 	ev.derivation = make(Derivation, len(ev.q.Body))
 	ev.headBuf = make(relation.Tuple, len(ev.q.Head))
 	ev.join(0)
@@ -301,18 +270,17 @@ func (ev *evaluator) candidates(st *planStep) []relation.TID {
 	if len(st.boundPos) == 0 {
 		return st.rel.IDs()
 	}
-	if st.idx == nil {
-		idx, ok := ev.indexes[st.indexKey]
-		if !ok {
-			idx = relation.BuildIndex(st.rel, st.boundPos)
-			ev.indexes[st.indexKey] = idx
-		}
-		st.idx = idx
-	}
 	a := ev.q.Body[st.atom]
+	if st.idx == nil {
+		ik := indexKey(a.Relation, st.boundPos)
+		if st.idx = ev.indexes[ik]; st.idx == nil {
+			st.idx = relation.BuildIndex(st.rel, st.boundPos)
+			ev.indexes[ik] = st.idx
+		}
+	}
 	ev.key = ev.key[:0]
 	for _, p := range st.boundPos {
-		if n := ev.slot[st.atom][p]; n >= 0 {
+		if n := st.slot[p]; n >= 0 {
 			ev.key = append(ev.key, ev.vals[n])
 		} else {
 			ev.key = append(ev.key, a.Terms[p].Const)
@@ -339,46 +307,32 @@ func (ev *evaluator) join(step int) {
 	}
 	st := &ev.steps[step]
 	for _, id := range ev.candidates(st) {
-		if !ev.bind(st, st.rel.Tuple(id)) {
-			continue
-		}
-		ev.derivation[st.atom] = id
-		ev.join(step + 1)
-		for _, n := range st.binds {
-			ev.bound[n] = false
+		if ev.bind(st, st.rel.Tuple(id)) {
+			ev.derivation[st.atom] = id
+			ev.join(step + 1)
 		}
 	}
 }
 
-// bind unifies the step's atom with tuple t under the current assignment.
-// On success it binds the step's new variables and reports true; on
-// conflict it reports false leaving the assignment untouched.
+// bind unifies the step's atom with tuple t: it checks constants and
+// already-bound variables and assigns the variables the step binds. On a
+// conflict it reports false; the partial assignment is harmless, since
+// every variable is assigned before it is read.
 func (ev *evaluator) bind(st *planStep, t relation.Tuple) bool {
 	a := ev.q.Body[st.atom]
-	for p, n := range ev.slot[st.atom] {
+	for p, n := range st.slot {
 		switch {
 		case n < 0:
 			if a.Terms[p].Const != t[p] {
-				ev.unbind(st)
 				return false
 			}
-		case ev.bound[n]:
-			if ev.vals[n] != t[p] {
-				ev.unbind(st)
-				return false
-			}
-		default:
+		case st.bind[p]:
 			ev.vals[n] = t[p]
-			ev.bound[n] = true
+		case ev.vals[n] != t[p]:
+			return false
 		}
 	}
 	return true
-}
-
-func (ev *evaluator) unbind(st *planStep) {
-	for _, n := range st.binds {
-		ev.bound[n] = false
-	}
 }
 
 // carve returns n fresh elements from *pool, refilling it with a block
@@ -419,7 +373,7 @@ func (ev *evaluator) emit() {
 	// queries, but self-joins can revisit the same derivation via symmetric
 	// variable roles; dedupe defensively.
 	for _, d := range ans.Derivations {
-		if d.Equal(ev.derivation) {
+		if slices.Equal(d, ev.derivation) {
 			return
 		}
 	}
