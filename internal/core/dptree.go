@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"delprop/internal/relation"
 	"delprop/internal/view"
@@ -32,13 +31,6 @@ type pivotLayout struct {
 	roots []int32
 	// end[ref] is the node where the view tuple's path ends.
 	end []int32
-}
-
-// forestProto memoizes the pivot-forest verdict and layout per skeleton.
-type forestProto struct {
-	once   sync.Once
-	layout *pivotLayout
-	err    error
 }
 
 // PivotForest is the data dual forest annotated for one request: the
@@ -96,11 +88,9 @@ func BuildPivotForest(p *Problem) (*PivotForest, error) {
 
 // pivotLayout returns the skeleton's memoized forest layout.
 func (p *Problem) pivotLayout() (*pivotLayout, error) {
-	fp := &p.skeleton().forest
-	fp.once.Do(func() {
-		fp.layout, fp.err = buildPivotLayout(p)
-	})
-	return fp.layout, fp.err
+	s := p.skeleton()
+	s.forestOnce.Do(func() { s.forest, s.forestErr = buildPivotLayout(p) })
+	return s.forest, s.forestErr
 }
 
 // buildPivotLayout follows the definition of Section IV.E directly:

@@ -48,7 +48,8 @@ type Problem struct {
 }
 
 // skeleton holds everything derived from (database, queries, views) —
-// nothing here depends on Delta or weights.
+// nothing here depends on Delta or weights. The lazily built parts are
+// computed once and shared by every Specialize derivative.
 type skeleton struct {
 	inverted      *view.InvertedIndex
 	keyPreserving bool
@@ -58,23 +59,18 @@ type skeleton struct {
 	rankOnce sync.Once
 	rank     []int32
 
-	class  classification
-	maint  maintainerProto
-	forest forestProto
-}
+	classOnce sync.Once
+	props     []classify.Properties
+	classErr  error
 
-// classification memoizes per-query classify verdicts for a skeleton.
-type classification struct {
-	once  sync.Once
-	props []classify.Properties
-	err   error
-}
+	// maint is the maintainer prototype; callers take isolated copies via
+	// Maintainer.Clone, never the prototype itself.
+	maintOnce sync.Once
+	maint     *view.Maintainer
 
-// maintainerProto memoizes a fully-built maintainer; callers take
-// isolated copies via Maintainer.Clone, never the prototype itself.
-type maintainerProto struct {
-	once sync.Once
-	m    *view.Maintainer
+	forestOnce sync.Once
+	forest     *pivotLayout
+	forestErr  error
 }
 
 // Construction errors.
@@ -142,21 +138,21 @@ func (p *Problem) skeleton() *skeleton {
 // path must never re-run classification for a problem it already
 // classified.
 func (p *Problem) QueryProperties() ([]classify.Properties, error) {
-	c := &p.skeleton().class
-	c.once.Do(func() {
+	s := p.skeleton()
+	s.classOnce.Do(func() {
 		schemas := cq.InstanceSchemas(p.DB)
 		props := make([]classify.Properties, len(p.Queries))
 		for i, q := range p.Queries {
 			pr, err := classify.Analyze(q, schemas, nil)
 			if err != nil {
-				c.err = err
+				s.classErr = err
 				return
 			}
 			props[i] = pr
 		}
-		c.props = props
+		s.props = props
 	})
-	return c.props, c.err
+	return s.props, s.classErr
 }
 
 // NewMaintainer returns an isolated incremental maintainer over the
@@ -164,11 +160,9 @@ func (p *Problem) QueryProperties() ([]classify.Properties, error) {
 // call pays only the O(state) Clone so concurrent solves never share
 // mutable maintainer state.
 func (p *Problem) NewMaintainer() *view.Maintainer {
-	m := &p.skeleton().maint
-	m.once.Do(func() {
-		m.m = view.NewMaintainer(p.Views)
-	})
-	return m.m.Clone()
+	s := p.skeleton()
+	s.maintOnce.Do(func() { s.maint = view.NewMaintainer(p.Views) })
+	return s.maint.Clone()
 }
 
 // Specialize derives a new Problem against the same skeleton — database,
