@@ -102,15 +102,19 @@ func (p *Problem) pivotLayout() (*pivotLayout, error) {
 // instance as soon as a tuple would need two parents or the containment
 // order breaks.
 func buildPivotLayout(p *Problem) (*pivotLayout, error) {
-	refs := make([][]relation.TID, p.TotalViewSize())
 	for _, v := range p.Views {
-		for pos, ans := range v.Result.Answers() {
+		for _, ans := range v.Result.Answers() {
 			if len(ans.Derivations) != 1 {
 				return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, len(ans.Derivations))
 			}
-			refs[v.Offset+pos] = view.Distinct(ans.Derivations[0])
+			if len(ans.Derivations[0]) == 0 {
+				return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
+			}
 		}
 	}
+	// pathOf returns a view tuple's (unique) derivation as a tuple set.
+	pathOf := func(ref int) []relation.TID { return view.Distinct(p.answer(ref).Derivations[0]) }
+	nRefs := p.TotalViewSize()
 	// Union-find over tuple IDs to find components.
 	nt := p.DB.NumIDs()
 	parent := make([]int32, nt)
@@ -126,7 +130,8 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 		parent[x] = int32(root)
 		return root
 	}
-	for _, path := range refs {
+	for ref := range nRefs {
+		path := pathOf(ref)
 		for _, t := range path {
 			if parent[t] < 0 {
 				parent[t] = int32(t)
@@ -134,33 +139,27 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 			parent[find(t)] = int32(find(path[0]))
 		}
 	}
-	// Group refs by component, in first-seen order.
+	// Group refs by component, in first-seen order, and order the
+	// components by their first tuple in canonical order, so the forest
+	// layout — and with it the solution's deletion order — does not depend
+	// on the union order.
+	rank := p.ranks()
 	compOf := make([]int32, nt)
 	var comps [][]int
-	for ref, path := range refs {
-		if len(path) == 0 {
-			return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
-		}
+	var first []int32
+	for ref := range nRefs {
+		path := pathOf(ref)
 		root := find(path[0])
 		if compOf[root] == 0 {
 			comps = append(comps, nil)
+			first = append(first, -1)
 			compOf[root] = int32(len(comps))
 		}
 		c := compOf[root] - 1
 		comps[c] = append(comps[c], ref)
-	}
-	// Order components by their first tuple in canonical order, so the
-	// forest layout — and with it the solution's deletion order — does not
-	// depend on the union order.
-	rank := p.ranks()
-	first := make([]int32, len(comps))
-	for c, idxs := range comps {
-		first[c] = -1
-		for _, ref := range idxs {
-			for _, t := range refs[ref] {
-				if first[c] < 0 || rank[t] < first[c] {
-					first[c] = rank[t]
-				}
+		for _, t := range path {
+			if first[c] < 0 || rank[t] < first[c] {
+				first[c] = rank[t]
 			}
 		}
 	}
@@ -170,13 +169,13 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 	}
 	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
 
-	l := &pivotLayout{end: make([]int32, len(refs))}
+	l := &pivotLayout{end: make([]int32, nRefs)}
 	nodeOf := make([]int32, nt)
 	for i := range nodeOf {
 		nodeOf[i] = -1
 	}
 	for _, c := range order {
-		paths, err := layoutComponent(p, refs, comps[c])
+		paths, err := layoutComponent(p, pathOf, comps[c])
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +193,7 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 // safe because tuples with identical derivation membership have identical
 // kill-sets) yields a consistent layout; the containment of each path
 // element in the next one's ancestor set is verified.
-func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relation.TID, error) {
+func layoutComponent(p *Problem, pathOf func(int) []relation.TID, idxs []int) ([][]relation.TID, error) {
 	// anc(t) = the tuples present in every derivation containing t (the
 	// inverted index lists them), computed on first use: an instance
 	// that is not a pivot forest usually fails on its first paths.
@@ -205,10 +204,10 @@ func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relatio
 		}
 		occ := p.Inverted().Occurrences(t)
 		var in []relation.TID
-		for _, cand := range refs[occ[0].Ref] {
+		for _, cand := range pathOf(int(occ[0].Ref)) {
 			inAll := true
 			for _, o := range occ[1:] {
-				if !containsTID(refs[o.Ref], cand) {
+				if !containsTID(pathOf(int(o.Ref)), cand) {
 					inAll = false
 					break
 				}
@@ -221,9 +220,9 @@ func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relatio
 		return in
 	}
 	rank := p.ranks()
-	out := make([][]relation.TID, len(idxs))
-	for i, ref := range idxs {
-		path := append([]relation.TID(nil), refs[ref]...)
+	var out [][]relation.TID
+	for _, ref := range idxs {
+		path := append([]relation.TID(nil), pathOf(ref)...)
 		sort.Slice(path, func(a, b int) bool {
 			sa, sb := len(ancOf(path[a])), len(ancOf(path[b]))
 			if sa != sb {
@@ -238,7 +237,7 @@ func layoutComponent(p *Problem, refs [][]relation.TID, idxs []int) ([][]relatio
 				return nil, fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, p.DB.ByID(path[j]), p.DB.ByID(path[j+1]))
 			}
 		}
-		out[i] = path
+		out = append(out, path)
 	}
 	return out, nil
 }

@@ -36,11 +36,12 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 	for _, t := range known {
 		var kills, damages []string
 		for _, occ := range p.Inverted().Occurrences(t) {
-			ref, _ := view.Resolve(p.Views, occ.Ref)
-			if p.Delta.Has(occ.Ref) {
+			id := int(occ.Ref)
+			ref, _ := view.Resolve(p.Views, id)
+			if p.Delta.Has(id) {
 				kills = append(kills, ref.String())
 			} else if occ.Critical {
-				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, p.weight(occ.Ref)))
+				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, p.weight(id)))
 			} else {
 				damages = append(damages, fmt.Sprintf("%s (survivable)", ref))
 			}

@@ -67,7 +67,7 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 func preservedDegree(p *Problem, t relation.TID) int {
 	deg := 0
 	for _, occ := range p.Inverted().Occurrences(t) {
-		if !p.Delta.Has(occ.Ref) {
+		if !p.Delta.Has(int(occ.Ref)) {
 			deg++
 		}
 	}

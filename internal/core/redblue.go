@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"delprop/internal/relation"
 	"delprop/internal/setcover"
@@ -18,28 +19,39 @@ type redBlueEncoding struct {
 	tuples []relation.TID // set index -> base tuple
 }
 
-// elementIndex numbers the requested view tuples in request order and the
-// preserved ones in (view, answer) order: blue[ref] and red[ref] are the
-// element indexes (-1 when the ref is not of that color), with the
-// preserved weights alongside.
-func elementIndex(p *Problem) (blue, red []int, redWeights []float64) {
-	n := p.TotalViewSize()
-	blue, red = make([]int, n), make([]int, n)
-	for i := range blue {
-		blue[i], red[i] = -1, -1
-	}
+// elementIndex numbers the set-cover elements: the requested view tuples
+// (blue) in request order and the preserved ones some candidate touches
+// (red) in (view, answer) order; untouched preserved tuples can never be
+// collateral damage. index maps a ref ID to its element number; the red
+// weights are nil when every weight is 1.
+func elementIndex(p *Problem, cands []relation.TID) (index func(ref int32) int, numRed int, redWeights []float64) {
+	blue := make(map[int32]int, p.Delta.Len())
 	for i, id := range p.requested() {
-		if id >= 0 {
-			blue[id] = i
+		blue[int32(id)] = i
+	}
+	var reds []int32
+	for _, t := range cands {
+		for _, occ := range p.Inverted().Occurrences(t) {
+			if !p.Delta.Has(int(occ.Ref)) {
+				reds = append(reds, occ.Ref)
+			}
 		}
 	}
-	for id := range red {
-		if !p.Delta.Has(id) {
-			red[id] = len(redWeights)
-			redWeights = append(redWeights, p.weight(id))
+	slices.Sort(reds)
+	reds = slices.Compact(reds)
+	if p.weights != nil {
+		redWeights = make([]float64, len(reds))
+		for i, r := range reds {
+			redWeights[i] = p.weight(int(r))
 		}
 	}
-	return blue, red, redWeights
+	return func(ref int32) int {
+		if i, ok := blue[ref]; ok {
+			return i
+		}
+		i, _ := slices.BinarySearch(reds, ref)
+		return i
+	}, len(reds), redWeights
 }
 
 // buildRedBlue constructs the encoding. Preserved view tuples that no
@@ -48,19 +60,20 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	if err := requireKeyPreserving(p, "red-blue"); err != nil {
 		return nil, err
 	}
-	blue, red, redWeights := elementIndex(p)
+	cands := p.candidates()
+	index, numRed, redWeights := elementIndex(p, cands)
 	enc := &redBlueEncoding{inst: &setcover.Instance{
-		NumRed:     len(redWeights),
+		NumRed:     numRed,
 		NumBlue:    p.Delta.Len(),
 		RedWeights: redWeights,
 	}}
-	for _, t := range p.candidates() {
+	for _, t := range cands {
 		s := setcover.Set{Name: p.DB.ByID(t).String()}
 		for _, occ := range p.Inverted().Occurrences(t) {
-			if b := blue[occ.Ref]; b >= 0 {
-				s.Blues = append(s.Blues, b)
-			} else if r := red[occ.Ref]; r >= 0 {
-				s.Reds = append(s.Reds, r)
+			if i := index(occ.Ref); p.Delta.Has(int(occ.Ref)) {
+				s.Blues = append(s.Blues, i)
+			} else {
+				s.Reds = append(s.Reds, i)
 			}
 		}
 		enc.inst.Sets = append(enc.inst.Sets, s)
@@ -202,19 +215,19 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 	if err := requireKeyPreserving(p, b.Name()); err != nil {
 		return nil, err
 	}
-	pos, neg, negWeights := elementIndex(p)
+	tuples := p.candidates()
+	index, numNeg, negWeights := elementIndex(p, tuples)
 	pn := &setcover.PNPSCInstance{
 		NumPos:     p.Delta.Len(),
-		NumNeg:     len(negWeights),
+		NumNeg:     numNeg,
 		NegWeights: negWeights,
 	}
-	tuples := p.candidates()
 	for _, t := range tuples {
 		s := setcover.PNSet{Name: p.DB.ByID(t).String()}
 		for _, occ := range p.Inverted().Occurrences(t) {
-			if i := pos[occ.Ref]; i >= 0 {
+			if i := index(occ.Ref); p.Delta.Has(int(occ.Ref)) {
 				s.Positives = append(s.Positives, i)
-			} else if i := neg[occ.Ref]; i >= 0 {
+			} else {
 				s.Negatives = append(s.Negatives, i)
 			}
 		}

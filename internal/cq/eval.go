@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -41,8 +42,24 @@ type Result struct {
 	// hold its tuple IDs.
 	DB      *relation.Instance
 	answers []*Answer
-	// index maps head-tuple encodings to positions in answers.
-	index map[string]int
+	// index maps a hash of a head tuple's encoding to the last answer
+	// with that hash; next chains to the previous one (-1 ends).
+	index map[uint64]int32
+	next  []int32
+}
+
+// hashSeed keys the answer index; hashes never leave the process.
+var hashSeed = maphash.MakeSeed()
+
+// find returns the position of the answer whose head hashes to h and
+// satisfies same, or -1.
+func (r *Result) find(h uint64, same func(int32) bool) int32 {
+	for i, ok := r.index[h]; ok && i >= 0; i = r.next[i] {
+		if same(i) {
+			return i
+		}
+	}
+	return -1
 }
 
 // NumAnswers returns |Q(D)|.
@@ -55,8 +72,9 @@ func (r *Result) Answers() []*Answer { return r.answers[:len(r.answers):len(r.an
 // Position returns the index of the head tuple's answer in Answers.
 func (r *Result) Position(t relation.Tuple) (int, bool) {
 	var buf [128]byte
-	i, ok := r.index[string(t.AppendEncode(buf[:0]))]
-	return i, ok
+	h := maphash.Bytes(hashSeed, t.AppendEncode(buf[:0]))
+	i := r.find(h, func(i int32) bool { return r.answers[i].Tuple.Equal(t) })
+	return int(i), i >= 0
 }
 
 // Lookup returns the answer for the given head tuple, if present.
@@ -108,7 +126,7 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 	ev := &evaluator{
 		q:   q,
 		db:  db,
-		res: &Result{Query: q, DB: db, index: make(map[string]int)},
+		res: &Result{Query: q, DB: db, index: make(map[uint64]int32)},
 	}
 	ev.run()
 	return ev.res, nil
@@ -160,21 +178,33 @@ type evaluator struct {
 
 	// Variables are numbered; vals holds the current assignment. The plan
 	// fixes which variables each step binds, so no bound flags are kept.
-	vals       []relation.Value
-	head       []int // variable number per head position, -1 for a constant
+	vals []relation.Value
+	// head[i] says where head position i is read: the body atom and term
+	// position binding its variable (atom -1 for a constant).
+	head       []source
+	rels       []*relation.Relation // per body atom
 	steps      []planStep
 	indexes    map[string]*relation.Index // keyed by relation + positions
 	derivation Derivation                 // per original body position
 	key        relation.Tuple
 	headBuf    relation.Tuple
 	encBuf     []byte
-	// The emitted answers, head tuples and derivations are carved from
-	// pooled blocks, so an answer costs no allocation of its own.
-	answers []Answer
-	heads   []relation.Value
-	derivs  []Derivation
-	tids    []relation.TID
+	// Answers accumulate as offsets into one growing derivation array:
+	// first[i] is answer i's first derivation in tids, and last[i] its
+	// latest further one in more (-1 for none). finish lays them out in
+	// exact-size arrays, so a retained result holds no spare capacity.
+	tids  []relation.TID
+	first []int32
+	last  []int32
+	more  []further
 }
+
+// source locates a value in a match: body atom and term position.
+type source struct{ atom, pos int }
+
+// further is an answer's additional derivation (non-key-preserving
+// queries): its offset in tids and the answer's previous one in more.
+type further struct{ off, prev int32 }
 
 // planStep joins one atom. Per position, slot is the variable number (-1
 // for a constant) and bind reports whether this position binds it rather
@@ -191,6 +221,7 @@ type planStep struct {
 
 func (ev *evaluator) run() {
 	vars := make(map[string]int)
+	var binder []source
 	bound := make(map[string]bool)
 	for _, ai := range ev.planOrder() {
 		a := ev.q.Body[ai]
@@ -207,6 +238,7 @@ func (ev *evaluator) run() {
 			if !ok {
 				n = len(vars)
 				vars[t.Var] = n
+				binder = append(binder, source{ai, p})
 				st.bind[p] = true
 			}
 			st.slot[p] = n
@@ -216,18 +248,23 @@ func (ev *evaluator) run() {
 		}
 		ev.steps = append(ev.steps, st)
 	}
-	ev.head = make([]int, len(ev.q.Head))
+	ev.head = make([]source, len(ev.q.Head))
 	for i, t := range ev.q.Head {
-		ev.head[i] = -1
+		ev.head[i] = source{atom: -1}
 		if t.IsVar() {
-			ev.head[i] = vars[t.Var]
+			ev.head[i] = binder[vars[t.Var]]
 		}
+	}
+	ev.rels = make([]*relation.Relation, len(ev.q.Body))
+	for _, st := range ev.steps {
+		ev.rels[st.atom] = st.rel
 	}
 	ev.vals = make([]relation.Value, len(vars))
 	ev.indexes = make(map[string]*relation.Index)
 	ev.derivation = make(Derivation, len(ev.q.Body))
 	ev.headBuf = make(relation.Tuple, len(ev.q.Head))
 	ev.join(0)
+	ev.finish()
 }
 
 // planOrder picks an atom order greedily: repeatedly take the atom with the
@@ -335,49 +372,95 @@ func (ev *evaluator) bind(st *planStep, t relation.Tuple) bool {
 	return true
 }
 
-// carve returns n fresh elements from *pool, refilling it with a block
-// sized by hint (capped) when it runs short.
-func carve[T any](pool *[]T, n, hint int) []T {
-	if len(*pool) < n {
-		*pool = make([]T, max(n, min(hint, 1024)))
+// headValue returns head position i of the answer whose derivation starts
+// at offset off in tids.
+func (ev *evaluator) headValue(off int32, i int) relation.Value {
+	src := ev.head[i]
+	if src.atom < 0 {
+		return ev.q.Head[i].Const
 	}
-	s := (*pool)[:n:n]
-	*pool = (*pool)[n:]
-	return s
+	return ev.rels[src.atom].Tuple(ev.tids[int(off)+src.atom])[src.pos]
 }
 
 // emit records the current complete match as an answer + derivation.
 func (ev *evaluator) emit() {
-	for i, n := range ev.head {
-		if n >= 0 {
-			ev.headBuf[i] = ev.vals[n]
+	for i := range ev.head {
+		if src := ev.head[i]; src.atom >= 0 {
+			ev.headBuf[i] = ev.rels[src.atom].Tuple(ev.derivation[src.atom])[src.pos]
 		} else {
 			ev.headBuf[i] = ev.q.Head[i].Const
 		}
 	}
 	ev.encBuf = ev.headBuf.AppendEncode(ev.encBuf[:0])
+	h := maphash.Bytes(hashSeed, ev.encBuf)
 	res := ev.res
-	hint := len(res.answers) + 8
-	pos, ok := res.index[string(ev.encBuf)]
-	if !ok {
-		pos = len(res.answers)
-		res.index[string(ev.encBuf)] = pos
-		ans := &carve(&ev.answers, 1, hint)[0]
-		ans.Tuple = carve(&ev.heads, len(ev.headBuf), hint*len(ev.headBuf))
-		copy(ans.Tuple, ev.headBuf)
-		ans.Derivations = carve(&ev.derivs, 1, hint)[:0]
-		res.answers = append(res.answers, ans)
-	}
-	ans := res.answers[pos]
-	// Distinct matches always produce distinct derivations for safe
-	// queries, but self-joins can revisit the same derivation via symmetric
-	// variable roles; dedupe defensively.
-	for _, d := range ans.Derivations {
-		if slices.Equal(d, ev.derivation) {
+	pos := res.find(h, func(a int32) bool {
+		for i, v := range ev.headBuf {
+			if ev.headValue(ev.first[a], i) != v {
+				return false
+			}
+		}
+		return true
+	})
+	n := int32(len(ev.derivation))
+	if pos >= 0 {
+		// Distinct matches always produce distinct derivations for safe
+		// queries, but self-joins can revisit the same derivation via
+		// symmetric variable roles; dedupe defensively.
+		if f := ev.first[pos]; slices.Equal(ev.tids[f:f+n], ev.derivation) {
 			return
 		}
+		for k := ev.last[pos]; k >= 0; k = ev.more[k].prev {
+			if off := ev.more[k].off; slices.Equal(ev.tids[off:off+n], ev.derivation) {
+				return
+			}
+		}
 	}
-	der := Derivation(carve(&ev.tids, len(ev.derivation), hint*len(ev.derivation)))
-	copy(der, ev.derivation)
-	ans.Derivations = append(ans.Derivations, der)
+	off := int32(len(ev.tids))
+	ev.tids = append(ev.tids, ev.derivation...)
+	if pos >= 0 {
+		ev.more = append(ev.more, further{off: off, prev: ev.last[pos]})
+		ev.last[pos] = int32(len(ev.more) - 1)
+		return
+	}
+	prev, ok := res.index[h]
+	if !ok {
+		prev = -1
+	}
+	res.index[h] = int32(len(ev.first))
+	res.next = append(res.next, prev)
+	ev.first = append(ev.first, off)
+	ev.last = append(ev.last, -1)
+}
+
+// finish lays the answers out in exact-size arrays, derivations in
+// emission order.
+func (ev *evaluator) finish() {
+	hl, n := len(ev.q.Head), len(ev.q.Body)
+	tids := slices.Clone(ev.tids)
+	heads := make([]relation.Value, len(ev.first)*hl)
+	derivs := make([]Derivation, 0, len(ev.first)+len(ev.more))
+	answers := make([]Answer, len(ev.first))
+	res := ev.res
+	res.answers = make([]*Answer, len(ev.first))
+	var chain []int32
+	for a, f := range ev.first {
+		ans := &answers[a]
+		ans.Tuple = heads[a*hl : (a+1)*hl : (a+1)*hl]
+		for i := range ans.Tuple {
+			ans.Tuple[i] = ev.headValue(f, i)
+		}
+		chain = append(chain[:0], f)
+		for k := ev.last[a]; k >= 0; k = ev.more[k].prev {
+			chain = append(chain, ev.more[k].off)
+		}
+		slices.Reverse(chain[1:])
+		start := len(derivs)
+		for _, off := range chain {
+			derivs = append(derivs, Derivation(tids[off:int(off)+n:int(off)+n]))
+		}
+		ans.Derivations = derivs[start:len(derivs):len(derivs)]
+		res.answers[a] = ans
+	}
+	res.next = slices.Clone(res.next)
 }

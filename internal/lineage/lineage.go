@@ -171,7 +171,7 @@ func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
 	idx := view.BuildInvertedIndex(views)
 	var out []view.TupleRef
 	for _, occ := range idx.Occurrences(t) {
-		ref, _ := view.Resolve(views, occ.Ref)
+		ref, _ := view.Resolve(views, int(occ.Ref))
 		out = append(out, ref)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })

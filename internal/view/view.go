@@ -298,7 +298,7 @@ func idBound(views []*View) int {
 // view tuple.
 type Occurrence struct {
 	// Ref is the view tuple's ref ID.
-	Ref int
+	Ref int32
 	// Critical reports whether deleting the base tuple necessarily kills
 	// the view tuple, i.e. the tuple occurs in every derivation of it. For
 	// key-preserving queries every occurrence is critical.
@@ -338,7 +338,7 @@ func BuildInvertedIndex(views []*View) *InvertedIndex {
 				}
 				total := int32(len(ans.Derivations))
 				for _, id := range touched {
-					yield(id, Occurrence{Ref: v.Offset + pos, Critical: count[id] == total})
+					yield(id, Occurrence{Ref: int32(v.Offset + pos), Critical: count[id] == total})
 					count[id] = 0
 				}
 			}

@@ -239,7 +239,7 @@ func TestInvertedIndex(t *testing.T) {
 	}
 	crit := map[string]bool{}
 	for _, o := range occ {
-		ref, _ := Resolve(views, o.Ref)
+		ref, _ := Resolve(views, int(o.Ref))
 		crit[ref.Tuple.String()] = o.Critical
 	}
 	if !crit["(John,CUBE)"] {
