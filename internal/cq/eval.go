@@ -42,10 +42,10 @@ type Result struct {
 	// hold its tuple IDs.
 	DB      *relation.Instance
 	answers []*Answer
-	// index maps a hash of a head tuple's encoding to the last answer
-	// with that hash; next chains to the previous one (-1 ends).
-	index map[uint64]int32
-	next  []int32
+	// index is an open-addressing table of answer positions plus one (0
+	// marks a free slot), probed from the hash of a head tuple's
+	// encoding; its size is a power of two at least twice the answers.
+	index []int32
 }
 
 // hashSeed keys the answer index; hashes never leave the process.
@@ -54,12 +54,23 @@ var hashSeed = maphash.MakeSeed()
 // find returns the position of the answer whose head hashes to h and
 // satisfies same, or -1.
 func (r *Result) find(h uint64, same func(int32) bool) int32 {
-	for i, ok := r.index[h]; ok && i >= 0; i = r.next[i] {
-		if same(i) {
-			return i
+	mask := uint64(len(r.index) - 1)
+	for i := h & mask; r.index[i] != 0; i = (i + 1) & mask {
+		if a := r.index[i] - 1; same(a) {
+			return a
 		}
 	}
 	return -1
+}
+
+// insert files answer a under hash h.
+func (r *Result) insert(h uint64, a int32) {
+	mask := uint64(len(r.index) - 1)
+	i := h & mask
+	for r.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	r.index[i] = a + 1
 }
 
 // NumAnswers returns |Q(D)|.
@@ -126,7 +137,7 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 	ev := &evaluator{
 		q:   q,
 		db:  db,
-		res: &Result{Query: q, DB: db, index: make(map[uint64]int32)},
+		res: &Result{Query: q, DB: db, index: make([]int32, 16)},
 	}
 	ev.run()
 	return ev.res, nil
@@ -193,10 +204,11 @@ type evaluator struct {
 	// first[i] is answer i's first derivation in tids, and last[i] its
 	// latest further one in more (-1 for none). finish lays them out in
 	// exact-size arrays, so a retained result holds no spare capacity.
-	tids  []relation.TID
-	first []int32
-	last  []int32
-	more  []further
+	tids   []relation.TID
+	first  []int32
+	last   []int32
+	more   []further
+	hashes []uint64 // per answer, to rebuild the index as it grows
 }
 
 // source locates a value in a match: body atom and term position.
@@ -423,12 +435,14 @@ func (ev *evaluator) emit() {
 		ev.last[pos] = int32(len(ev.more) - 1)
 		return
 	}
-	prev, ok := res.index[h]
-	if !ok {
-		prev = -1
+	if 2*(len(ev.first)+1) > len(res.index) {
+		res.index = make([]int32, 2*len(res.index))
+		for a, ha := range ev.hashes {
+			res.insert(ha, int32(a))
+		}
 	}
-	res.index[h] = int32(len(ev.first))
-	res.next = append(res.next, prev)
+	res.insert(h, int32(len(ev.first)))
+	ev.hashes = append(ev.hashes, h)
 	ev.first = append(ev.first, off)
 	ev.last = append(ev.last, -1)
 }
@@ -462,5 +476,4 @@ func (ev *evaluator) finish() {
 		ans.Derivations = derivs[start:len(derivs):len(derivs)]
 		res.answers[a] = ans
 	}
-	res.next = slices.Clone(res.next)
 }
