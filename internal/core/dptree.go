@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"delprop/internal/relation"
@@ -207,7 +208,7 @@ func layoutComponent(p *Problem, pathOf func(int) []relation.TID, idxs []int) ([
 		for _, cand := range pathOf(int(occ[0].Ref)) {
 			inAll := true
 			for _, o := range occ[1:] {
-				if !containsTID(pathOf(int(o.Ref)), cand) {
+				if !slices.Contains(pathOf(int(o.Ref)), cand) {
 					inAll = false
 					break
 				}
@@ -233,22 +234,13 @@ func layoutComponent(p *Problem, pathOf func(int) []relation.TID, idxs []int) ([
 		// Verify the root-path property: every element lies in the
 		// ancestor set of its successor.
 		for j := 0; j+1 < len(path); j++ {
-			if !containsTID(ancOf(path[j+1]), path[j]) {
+			if !slices.Contains(ancOf(path[j+1]), path[j]) {
 				return nil, fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, p.DB.ByID(path[j]), p.DB.ByID(path[j+1]))
 			}
 		}
 		out = append(out, path)
 	}
 	return out, nil
-}
-
-func containsTID(ids []relation.TID, t relation.TID) bool {
-	for _, x := range ids {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }
 
 // merge merges one component's root paths into the layout, requiring a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"delprop/internal/cq"
@@ -222,14 +223,6 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 			paths = append(paths, &path{tuples: d})
 		}
 	}
-	has := func(d cq.Derivation, t relation.TID) bool {
-		for _, x := range d {
-			if x == t {
-				return true
-			}
-		}
-		return false
-	}
 	st := StatsFrom(ctx)
 	remaining := len(paths)
 	sol := &Solution{}
@@ -243,7 +236,7 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 			st.AddNodes(1)
 			hits := 0
 			for _, pt := range paths {
-				if !pt.hit && has(pt.tuples, t) {
+				if !pt.hit && slices.Contains(pt.tuples, t) {
 					hits++
 				}
 			}
@@ -261,7 +254,7 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		t := cands[best]
 		sol.Deleted = append(sol.Deleted, p.DB.ByID(t))
 		for _, pt := range paths {
-			if !pt.hit && has(pt.tuples, t) {
+			if !pt.hit && slices.Contains(pt.tuples, t) {
 				pt.hit = true
 				remaining--
 			}

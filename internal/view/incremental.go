@@ -2,6 +2,7 @@ package view
 
 import (
 	"delprop/internal/relation"
+	"slices"
 )
 
 // Maintainer tracks the live/dead state of every view tuple under a
@@ -55,7 +56,7 @@ func NewMaintainer(views []*View) *Maintainer {
 			pv.derivs[v.Offset+pos] = int32(len(ans.Derivations))
 			for _, d := range ans.Derivations {
 				for i, id := range d {
-					if !containsID(d[:i], id) {
+					if !slices.Contains(d[:i], id) {
 						pv.occStart[id+1]++
 					}
 				}
@@ -73,7 +74,7 @@ func NewMaintainer(views []*View) *Maintainer {
 				g := int32(len(pv.derivRef))
 				pv.derivRef = append(pv.derivRef, int32(v.Offset+pos))
 				for i, id := range d {
-					if !containsID(d[:i], id) {
+					if !slices.Contains(d[:i], id) {
 						pv.occDeriv[fill[id]] = g
 						fill[id]++
 					}

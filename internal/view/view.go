@@ -14,6 +14,7 @@ package view
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -272,10 +273,10 @@ func Survives(ans *cq.Answer, deleted relation.IDSet) bool {
 // d itself, which must not be mutated.
 func Distinct(d cq.Derivation) []relation.TID {
 	for i, id := range d {
-		if containsID(d[:i], id) {
+		if slices.Contains(d[:i], id) {
 			out := append([]relation.TID(nil), d[:i]...)
 			for _, id := range d[i+1:] {
-				if !containsID(out, id) {
+				if !slices.Contains(out, id) {
 					out = append(out, id)
 				}
 			}
@@ -327,7 +328,7 @@ func BuildInvertedIndex(views []*View) *InvertedIndex {
 				touched = touched[:0]
 				for _, d := range ans.Derivations {
 					for i, id := range d {
-						if containsID(d[:i], id) {
+						if slices.Contains(d[:i], id) {
 							continue
 						}
 						if count[id] == 0 {
@@ -360,15 +361,6 @@ func BuildInvertedIndex(views []*View) *InvertedIndex {
 	}
 	scan(func(id relation.TID, o Occurrence) { idx.occ[id] = append(idx.occ[id], o) })
 	return idx
-}
-
-func containsID(ids []relation.TID, id relation.TID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Occurrences returns the view tuples the base tuple participates in, in
