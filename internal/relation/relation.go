@@ -12,6 +12,8 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -251,10 +253,9 @@ func (a *arena) fork() *arena {
 type Relation struct {
 	schema *Schema
 	arena  *arena
-	// byValue maps full-tuple encodings to IDs.
-	byValue map[string]TID
-	// byKey maps key encodings to IDs.
-	byKey map[string]TID
+	// byValue and byKey find IDs from hashes of the full tuple and of
+	// its key values.
+	byValue, byKey idTable
 	// order lists the live IDs in insertion order so iteration is stable.
 	order []TID
 }
@@ -265,12 +266,7 @@ func NewRelation(schema *Schema) *Relation {
 }
 
 func newRelation(schema *Schema, a *arena) *Relation {
-	return &Relation{
-		schema:  schema,
-		arena:   a,
-		byValue: make(map[string]TID),
-		byKey:   make(map[string]TID),
-	}
+	return &Relation{schema: schema, arena: a}
 }
 
 // Schema returns the relation's schema.
@@ -288,11 +284,36 @@ func appendEncodeAt(b []byte, t Tuple, positions []int) []byte {
 	return b
 }
 
-// lookup returns the ID of the exact tuple, if present.
-func (r *Relation) lookup(t Tuple) (TID, bool) {
+var hashSeed = maphash.MakeSeed()
+
+// valueHash and keyHash hash a tuple's encoding and its key's.
+func (r *Relation) valueHash(t Tuple) uint64 {
 	var buf [128]byte
-	id, ok := r.byValue[string(t.AppendEncode(buf[:0]))]
-	return id, ok
+	return maphash.Bytes(hashSeed, t.AppendEncode(buf[:0]))
+}
+
+func (r *Relation) keyHash(t Tuple) uint64 {
+	var buf [128]byte
+	return maphash.Bytes(hashSeed, appendEncodeAt(buf[:0], t, r.schema.Key))
+}
+
+// lookup returns the ID of the exact tuple and its byValue slot.
+func (r *Relation) lookup(t Tuple) (TID, int, bool) {
+	return r.byValue.find(r.valueHash(t), func(id TID) bool { return r.Tuple(id).Equal(t) })
+}
+
+// lookupKey returns the ID of the tuple with key hash h whose i-th key
+// value is key(i), and its byKey slot.
+func (r *Relation) lookupKey(h uint64, key func(i int) Value) (TID, int, bool) {
+	return r.byKey.find(h, func(id TID) bool {
+		u := r.Tuple(id)
+		for i, p := range r.schema.Key {
+			if u[p] != key(i) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Insert adds a tuple. It returns ErrArity on arity mismatch,
@@ -302,32 +323,33 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("%w: relation %s expects arity %d, got %d", ErrArity, r.schema.Name, r.schema.Arity(), len(t))
 	}
-	var buf, kbuf [128]byte
-	enc := t.AppendEncode(buf[:0])
-	if _, ok := r.byValue[string(enc)]; ok {
+	if _, _, ok := r.lookup(t); ok {
 		return fmt.Errorf("%w: %s%s", ErrDuplicate, r.schema.Name, t)
 	}
-	kenc := appendEncodeAt(kbuf[:0], t, r.schema.Key)
-	if other, ok := r.byKey[string(kenc)]; ok {
+	if other, _, ok := r.lookupKey(r.keyHash(t), func(i int) Value { return t[r.schema.Key[i]] }); ok {
 		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.Tuple(other))
 	}
 	id := r.arena.add(r.schema.Name, t.Clone())
-	r.byValue[string(enc)] = id
-	r.byKey[string(kenc)] = id
+	r.byValue.add(r.valueHash(t), id, func(id TID) uint64 { return r.valueHash(r.Tuple(id)) })
+	r.byKey.add(r.keyHash(t), id, func(id TID) uint64 { return r.keyHash(r.Tuple(id)) })
 	r.order = append(r.order, id)
 	return nil
 }
 
 // Contains reports whether the exact tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.lookup(t)
+	_, _, ok := r.lookup(t)
 	return ok
 }
 
 // LookupKey returns the unique tuple with the given key values, if any.
 func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
+	if len(key) != len(r.schema.Key) {
+		return nil, false
+	}
 	var buf [128]byte
-	id, ok := r.byKey[string(key.AppendEncode(buf[:0]))]
+	h := maphash.Bytes(hashSeed, key.AppendEncode(buf[:0]))
+	id, _, ok := r.lookupKey(h, func(i int) Value { return key[i] })
 	if !ok {
 		return nil, false
 	}
@@ -337,14 +359,13 @@ func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
 // Delete removes the exact tuple, reporting whether it was present. Its ID
 // is retired, not reused.
 func (r *Relation) Delete(t Tuple) bool {
-	var buf [128]byte
-	enc := t.AppendEncode(buf[:0])
-	id, ok := r.byValue[string(enc)]
+	id, slot, ok := r.lookup(t)
 	if !ok {
 		return false
 	}
-	delete(r.byValue, string(enc))
-	delete(r.byKey, string(appendEncodeAt(buf[:0], r.Tuple(id), r.schema.Key)))
+	r.byValue.remove(slot)
+	_, kslot, _ := r.lookupKey(r.keyHash(t), func(i int) Value { return t[r.schema.Key[i]] })
+	r.byKey.remove(kslot)
 	for i, o := range r.order {
 		if o == id {
 			r.order = append(r.order[:i], r.order[i+1:]...)
@@ -378,21 +399,65 @@ func (r *Relation) Clone() *Relation {
 }
 
 func (r *Relation) cloneInto(a *arena) *Relation {
-	c := &Relation{
+	return &Relation{
 		schema:  r.schema,
 		arena:   a,
-		byValue: make(map[string]TID, len(r.byValue)),
-		byKey:   make(map[string]TID, len(r.byKey)),
+		byValue: r.byValue.clone(),
+		byKey:   r.byKey.clone(),
 		order:   append([]TID(nil), r.order...),
 	}
-	for k, id := range r.byValue {
-		c.byValue[k] = id
-	}
-	for k, id := range r.byKey {
-		c.byKey[k] = id
-	}
-	return c
 }
+
+// idTable is an open-addressing hash set of tuple IDs. A slot holds 0
+// when free, 1 when its entry was removed, and otherwise the ID plus 2;
+// the table is a power of two at least twice its used slots.
+type idTable struct {
+	slots []uint32
+	used  int // slots not free
+}
+
+// find probes for an ID hashed to h that same accepts, returning it and
+// its slot.
+func (t *idTable) find(h uint64, same func(TID) bool) (TID, int, bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; len(t.slots) > 0 && t.slots[i] != 0; i = (i + 1) & mask {
+		if s := t.slots[i]; s > 1 && same(TID(s-2)) {
+			return TID(s - 2), int(i), true
+		}
+	}
+	return 0, -1, false
+}
+
+// add files id under h, growing the table (rehashing with hash) first
+// when it would pass half full.
+func (t *idTable) add(h uint64, id TID, hash func(TID) uint64) {
+	if 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		t.slots, t.used = make([]uint32, max(8, 2*len(old))), 0
+		for _, s := range old {
+			if s > 1 {
+				t.place(hash(TID(s-2)), TID(s-2))
+			}
+		}
+	}
+	t.place(h, id)
+}
+
+func (t *idTable) place(h uint64, id TID) {
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i] > 1 {
+		i = (i + 1) & mask
+	}
+	if t.slots[i] == 0 {
+		t.used++
+	}
+	t.slots[i] = uint32(id) + 2
+}
+
+func (t *idTable) remove(slot int) { t.slots[slot] = 1 }
+
+func (t idTable) clone() idTable { return idTable{slots: slices.Clone(t.slots), used: t.used} }
 
 // Instance is a database instance: a collection of relations, one per
 // relation symbol of the schema. Its relations share one ID space (TID).
@@ -479,7 +544,8 @@ func (db *Instance) ID(id TupleID) (TID, bool) {
 	if !ok {
 		return 0, false
 	}
-	return r.lookup(id.Tuple)
+	id2, _, ok := r.lookup(id.Tuple)
+	return id2, ok
 }
 
 // ByID returns the identity of the tuple with the given ID. Retired IDs
