@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff perfbench-test experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
+.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff perfbench-test experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit loc smoke chaos-smoke events-smoke series-smoke session-smoke clean
 
 all: build test
 
@@ -105,6 +105,18 @@ audit: lint
 	else \
 		echo "audit: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
+
+# Non-test Go lines per internal/ package (wc -l over the package's
+# non-test .go files, the count ROADMAP.md quotes), then the total over
+# PKGS when given: make loc PKGS="server telemetry".
+loc:
+	@total=0; for d in internal/*/; do \
+		p=$$(basename $$d); \
+		n=$$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-12s %6d\n' $$p $$n; \
+		case " $(PKGS) " in *" $$p "*) total=$$((total + n));; esac; \
+	done; \
+	if [ -n "$(PKGS)" ]; then printf '%-12s %6d  (%s)\n' total $$total "$(PKGS)"; fi
 
 # End-to-end telemetry check: boots delpropd, drives a solve, scrapes
 # /metrics and asserts the search counters moved (docs/OBSERVABILITY.md).

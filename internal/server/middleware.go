@@ -115,10 +115,6 @@ type Config struct {
 	// it from the strictest SLO latency bound, negative disables
 	// slow-solve capture.
 	PostmortemSlowSolve time.Duration
-	// EventJournalCapacity bounds the event journal postmortems draw
-	// correlated event history from; 0 means
-	// telemetry.DefaultJournalCapacity.
-	EventJournalCapacity int
 }
 
 // Defaults applied by withDefaults.
@@ -236,9 +232,6 @@ func (c Config) withDefaults() Config {
 	if c.PostmortemCapacity == 0 {
 		c.PostmortemCapacity = DefaultPostmortemCapacity
 	}
-	if c.EventJournalCapacity <= 0 {
-		c.EventJournalCapacity = telemetry.DefaultJournalCapacity
-	}
 	return c
 }
 
@@ -259,16 +252,16 @@ type api struct {
 	// and the SLO watchdog; watchdog is nil without SLO rules.
 	sampler  *telemetry.Sampler
 	watchdog *telemetry.Watchdog
-	// journal retains recent bus events for postmortem correlation;
 	// postmortems is the flight recorder's bundle ring (nil when capture
 	// is disabled); recent is the finished-solve ring SLO breaches are
 	// correlated against.
-	journal     *telemetry.Journal
 	postmortems *postmortemRing
 	recent      *recentSolves
 	// sessions is the warm-solve registry behind POST /sessions (see
-	// internal/session and session.go in this package).
-	sessions *session.Registry
+	// internal/session and session.go in this package); warmSolve is its
+	// end-to-end latency histogram.
+	sessions  *session.Registry
+	warmSolve *telemetry.Histogram
 	// slowSolve is the resolved over-SLO solve capture threshold
 	// (Config.PostmortemSlowSolve, possibly derived; 0 disables).
 	slowSolve time.Duration

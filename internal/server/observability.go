@@ -174,11 +174,11 @@ func httpStatusLabel(status int) string {
 // observeSolve records one finished (or interrupted) solve: the latency
 // histogram per solver, the outcome counter, and the search-progress
 // counters aggregated from the solve's Stats.
-func (a *api) observeSolve(solver, outcome string, dur time.Duration, snap core.StatsSnapshot) {
-	reg := a.cfg.Metrics
+func (a *api) observeSolve(solver, outcome string, durMs float64, snap core.StatsSnapshot) {
+	reg, secs := a.cfg.Metrics, durMs/1e3
 	reg.Histogram(metricSolveDuration,
 		"Solve latency in seconds, by solver.",
-		nil, telemetry.Labels{"solver": solver}).Observe(dur.Seconds())
+		nil, telemetry.Labels{"solver": solver}).Observe(secs)
 	reg.Counter(metricSolvesTotal,
 		"Solves finished, by solver and outcome (ok, partial, error, timeout, canceled, panic, unstoppable).",
 		telemetry.Labels{"solver": solver, "outcome": outcome}).Inc()
@@ -205,7 +205,7 @@ func (a *api) observeSolve(solver, outcome string, dur time.Duration, snap core.
 	}
 	// The unlabeled aggregate feeds Retry-After hints (retryAfterSeconds);
 	// per-solver histograms cannot be merged quantile-correctly at read time.
-	a.latencyAll.Observe(dur.Seconds())
+	a.latencyAll.Observe(secs)
 }
 
 // observeAdmission counts one admission-ladder decision for a tenant and
@@ -215,15 +215,8 @@ func (a *api) observeAdmission(reqID, tenant, decision string) {
 	a.cfg.Metrics.Counter(metricAdmissionDecisions,
 		"Admission-ladder decisions, by tenant and decision (admitted, queued, degraded, shed-<rule>).",
 		telemetry.Labels{"tenant": tenant, "decision": decision}).Inc()
-	a.publishEvent(eventAdmission, reqID, 0, tenant, "", map[string]any{"decision": decision})
-}
-
-// observeDegraded counts one solve that ran downgraded, by tenant and the
-// policy rule that forced the downgrade.
-func (a *api) observeDegraded(tenant, rule string) {
-	a.cfg.Metrics.Counter(metricDegradedSolves,
-		"Solves forced onto the degrade solver, by tenant and the rule that fired.",
-		telemetry.Labels{"tenant": tenant, "rule": rule}).Inc()
+	a.cfg.Events.Publish(telemetry.Event{Type: eventAdmission, RequestID: reqID, Tenant: tenant,
+		Fields: map[string]any{"decision": decision}})
 }
 
 // retryAfterSeconds derives the Retry-After hint for shed responses from
@@ -265,7 +258,7 @@ func (a *api) registerBreakerMetrics() {
 		reg.Counter(metricBreakerTransitions,
 			"Circuit breaker state transitions, by solver and destination state.",
 			telemetry.Labels{"solver": solver, "to": to.String()}).Inc()
-		a.publishEvent(eventBreaker, "", 0, "", solver, map[string]any{"state": to.String()})
+		a.cfg.Events.Publish(telemetry.Event{Type: eventBreaker, Solver: solver, Fields: map[string]any{"state": to.String()}})
 	})
 }
 
@@ -287,30 +280,6 @@ func (a *api) registerEventMetrics() {
 		OnDrop:        dropped.Inc,
 		OnSubscribers: func(n int) { subscribers.Set(float64(n)) },
 	})
-}
-
-// observeBreakerReroute counts one request routed to the fallback solver
-// because the requested solver's breaker was open.
-func (a *api) observeBreakerReroute(from, to string) {
-	a.cfg.Metrics.Counter(metricBreakerRerouted,
-		"Requests rerouted to a fallback solver because the requested solver's breaker was open, by solver pair.",
-		telemetry.Labels{"from": from, "to": to}).Inc()
-}
-
-// observeRace records one finished portfolio race: who won (and whether
-// the win was a proven-optimality early cancellation) and how many losing
-// members were cancelled before completion.
-func (a *api) observeRace(rs core.RaceSnapshot) {
-	winner := rs.Winner
-	if winner == "" {
-		winner = "none"
-	}
-	a.cfg.Metrics.Counter(metricParallelRaces,
-		"Portfolio races finished, by winning solver and whether the win was a proven-optimality early exit.",
-		telemetry.Labels{"winner": winner, "proven": strconv.FormatBool(rs.Proven)}).Inc()
-	a.cfg.Metrics.Counter(metricParallelCancelled,
-		"Portfolio members cancelled (or skipped) before completion because another member already held a provably optimal solution.",
-		nil).Add(int64(rs.CancelledLosers))
 }
 
 // observeBatch records one finished POST /solve/batch request.

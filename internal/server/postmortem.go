@@ -17,7 +17,7 @@ import (
 // a hard solve failure, or a solve over the latency SLO — the server
 // freezes a bounded-ring bundle of everything an incident review needs:
 // the request's trace, its final core.Stats snapshot, the correlated
-// event history from the journal, the admission decision, the breaker
+// event history from the bus's journal, the admission decision, the breaker
 // states and the process's goroutine/heap counts at capture time. GET
 // /debug/postmortems lists the bundles newest first; /debug/postmortems/
 // {id} serves one in full. The answer to "why was that solve slow at
@@ -96,14 +96,8 @@ func (p *Postmortem) summary() PostmortemSummary {
 // postmortemRing is the bounded bundle store, oldest evicted first.
 type postmortemRing struct {
 	mu     sync.Mutex
-	buf    []*Postmortem //delprop:guardedby mu
-	head   int           //delprop:guardedby mu
-	n      int           //delprop:guardedby mu
-	nextID uint64        //delprop:guardedby mu
-}
-
-func newPostmortemRing(capacity int) *postmortemRing {
-	return &postmortemRing{buf: make([]*Postmortem, capacity)}
+	ring   telemetry.Ring[*Postmortem] //delprop:guardedby mu
+	nextID uint64                      //delprop:guardedby mu
 }
 
 // add assigns the bundle its id, stores it, and returns the id.
@@ -112,13 +106,7 @@ func (r *postmortemRing) add(p *Postmortem) string {
 	defer r.mu.Unlock()
 	r.nextID++
 	p.ID = "pm-" + strconv.FormatUint(r.nextID, 10)
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-	} else {
-		r.buf[r.head] = p
-		r.head = (r.head + 1) % len(r.buf)
-	}
+	r.ring.Push(p)
 	return p.ID
 }
 
@@ -126,9 +114,9 @@ func (r *postmortemRing) add(p *Postmortem) string {
 func (r *postmortemRing) list() []PostmortemSummary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]PostmortemSummary, 0, r.n)
-	for i := r.n - 1; i >= 0; i-- {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)].summary())
+	out := make([]PostmortemSummary, 0, r.ring.Len())
+	for i := r.ring.Len() - 1; i >= 0; i-- {
+		out = append(out, r.ring.At(i).summary())
 	}
 	return out
 }
@@ -137,52 +125,44 @@ func (r *postmortemRing) list() []PostmortemSummary {
 func (r *postmortemRing) get(id string) *Postmortem {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 0; i < r.n; i++ {
-		if p := r.buf[(r.head+i)%len(r.buf)]; p.ID == id {
+	for i := 0; i < r.ring.Len(); i++ {
+		if p := r.ring.At(i); p.ID == id {
 			return p
 		}
 	}
 	return nil
 }
 
+// solveTags are what every sink correlates a solve on: the request and
+// trace ids, the tenant and the admission outcome.
+type solveTags struct {
+	reqID    string
+	traceID  uint64
+	tenant   string
+	degraded bool
+	rule     string
+}
+
 // solveRecord is the finish-time summary of one solve, kept so SLO
 // breaches (which fire on the sampler tick, after the fact) can be
 // correlated back to a concrete request.
 type solveRecord struct {
-	at       time.Time
-	reqID    string
-	traceID  uint64
-	tenant   string
-	solver   string
-	outcome  string
-	durMs    float64
-	degraded bool
-	rule     string
-	stats    core.StatsSnapshot
+	solveTags
+	solver, outcome string
+	durMs           float64
+	stats           core.StatsSnapshot
 }
 
 // recentSolves is a bounded ring of finished solves, newest last.
 type recentSolves struct {
 	mu   sync.Mutex
-	buf  []solveRecord //delprop:guardedby mu
-	head int           //delprop:guardedby mu
-	n    int           //delprop:guardedby mu
-}
-
-func newRecentSolves(capacity int) *recentSolves {
-	return &recentSolves{buf: make([]solveRecord, capacity)}
+	ring telemetry.Ring[solveRecord] //delprop:guardedby mu
 }
 
 func (r *recentSolves) add(rec solveRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = rec
-		r.n++
-		return
-	}
-	r.buf[r.head] = rec
-	r.head = (r.head + 1) % len(r.buf)
+	r.ring.Push(rec)
 }
 
 // match returns the newest record matching a breach's By/Target scoping:
@@ -193,8 +173,8 @@ func (r *recentSolves) add(rec solveRecord) {
 func (r *recentSolves) match(by, target string) (solveRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := r.n - 1; i >= 0; i-- {
-		rec := r.buf[(r.head+i)%len(r.buf)]
+	for i := r.ring.Len() - 1; i >= 0; i-- {
+		rec := r.ring.At(i)
 		switch {
 		case by == "solver" && target != "":
 			if rec.solver == target {
@@ -272,9 +252,9 @@ func (a *api) capturePostmortem(kind string, rec *solveRecord, breach *telemetry
 		p.Stats = &stats
 		p.Admission = &AdmissionJSON{Tenant: rec.tenant, Degraded: rec.degraded, Rule: rec.rule}
 		p.Trace = a.lookupTrace(rec.traceID)
-		p.Events = a.journal.ByRequest(rec.reqID)
+		p.Events = a.cfg.Events.Journal().ByRequest(rec.reqID)
 	} else {
-		p.Events = a.journal.Recent(64)
+		p.Events = a.cfg.Events.Journal().Recent(64)
 	}
 	return a.postmortems.add(p)
 }

@@ -21,14 +21,13 @@ import (
 // request names none.
 var defaultSeriesWindows = []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
 
-// initSeries builds the sampler, journal, flight recorder and (when rules
-// are configured) the SLO watchdog. Called once from NewHandler, before
-// any traffic.
+// initSeries builds the sampler, flight recorder and (when rules are
+// configured) the SLO watchdog. Called once from NewHandler, before any
+// traffic.
 func (a *api) initSeries() {
-	a.journal = telemetry.NewJournal(a.cfg.EventJournalCapacity)
 	if a.cfg.PostmortemCapacity > 0 {
-		a.postmortems = newPostmortemRing(a.cfg.PostmortemCapacity)
-		a.recent = newRecentSolves(recentSolveCapacity)
+		a.postmortems = &postmortemRing{ring: telemetry.NewRing[*Postmortem](a.cfg.PostmortemCapacity)}
+		a.recent = &recentSolves{ring: telemetry.NewRing[solveRecord](recentSolveCapacity)}
 	}
 	a.sampler = telemetry.NewSampler(a.cfg.Metrics, telemetry.SamplerConfig{
 		Interval:  a.cfg.SeriesInterval,
@@ -122,27 +121,25 @@ func (a *api) onSLOBreach(b telemetry.SLOBreach) {
 		tenant = b.Target
 	}
 	if b.Recovered {
-		a.publishEvent(eventSLORecovered, "", 0, tenant, solver, fields)
+		a.cfg.Events.Publish(telemetry.Event{Type: eventSLORecovered, Tenant: tenant, Solver: solver, Fields: fields})
 		return
 	}
 	a.cfg.Metrics.Counter(metricSLOBreaches,
 		"SLO watchdog breaches detected, by rule (transitions into breach, not ticks spent breached).",
 		telemetry.Labels{"rule": b.Rule}).Inc()
 	var rec *solveRecord
+	var tags solveTags
 	if a.recent != nil {
 		if r, ok := a.recent.match(b.By, b.Target); ok {
-			rec = &r
+			rec, tags = &r, r.solveTags
 		}
-	}
-	reqID, traceID := "", uint64(0)
-	if rec != nil {
-		reqID, traceID = rec.reqID, rec.traceID
 	}
 	breach := b
 	if id := a.capturePostmortem(postmortemSLOBreach, rec, &breach); id != "" {
 		fields["postmortemId"] = id
 	}
-	a.publishEvent(eventSLOBreach, reqID, traceID, tenant, solver, fields)
+	a.cfg.Events.Publish(telemetry.Event{Type: eventSLOBreach, RequestID: tags.reqID, TraceID: tags.traceID,
+		Tenant: tenant, Solver: solver, Fields: fields})
 }
 
 // handleSeries serves the rolling windowed aggregates as JSON. Query

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"delprop/internal/admission"
@@ -402,37 +401,19 @@ func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view
 	return db, queries, delta, nil
 }
 
-// materializeProblem is the views phase: materialize the views, build the
-// Problem and apply preservation weights.
-func materializeProblem(req *InstanceRequest, db *relation.Instance, queries []*cq.Query, delta *view.Deletion) (*core.Problem, error) {
-	p, err := core.NewProblem(db, queries, delta)
-	if err != nil {
-		return nil, err
-	}
-	for spec, weight := range req.Weights {
-		del, err := textio.ParseDeletions(spec, queries)
+// applyWeights sets the preservation weights a request names by
+// "Qname(v1,v2,...)" view tuple on p, cold or warm.
+func applyWeights(p *core.Problem, weights map[string]float64) error {
+	for spec, weight := range weights {
+		del, err := textio.ParseDeletions(spec, p.Queries)
 		if err != nil {
-			return nil, fmt.Errorf("weights: %w", err)
+			return fmt.Errorf("weights: %w", err)
 		}
 		for _, ref := range del.Refs() {
 			p.SetWeight(ref, weight)
 		}
 	}
-	return p, nil
-}
-
-// buildProblem parses the shared instance payload (parse + views phases in
-// one step, for handlers that don't trace them separately).
-func buildProblem(req *InstanceRequest) (*core.Problem, []*cq.Query, error) {
-	db, queries, delta, err := parseInstance(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := materializeProblem(req, db, queries, delta)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, queries, nil
+	return nil
 }
 
 // solveOutcome is what the supervised solve goroutine reports back.
@@ -516,18 +497,17 @@ func (a *api) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solvePrep produces the engine's problem under the "parse" and "views"
-// trace spans: the cold path parses text and materializes views, the warm
-// session path parses only the deletion request and specializes a cached
-// skeleton. phase is the engine's span-closing callback (it also emits
-// the live phase event).
-type solvePrep func(tr *telemetry.Trace, phase func(name, solverName string, end func())) (*core.Problem, *solveError)
+// solvePrep produces the engine's problem under the run's "parse" and
+// "views" phases: the cold path parses text and materializes views, the
+// warm session path parses only the deletion request and specializes a
+// cached skeleton.
+type solvePrep func(run *solveRun) (*core.Problem, *solveError)
 
 // solveSource describes one solve for the engine: the requested solver
 // and timeout, the body's tenant hint, how to obtain the problem, and —
 // for warm solves — the session entry serving it.
 type solveSource struct {
-	requested string // requested solver name, "auto" resolved by the caller
+	requested string // requested solver name; empty means "auto"
 	timeout   string // the request's timeout spec
 	tenant    string // body/session tenant hint for tenantShaping
 	sessionID string // non-empty marks a warm session solve
@@ -542,24 +522,23 @@ type solveSource struct {
 // POST /solve/batch item (ctx = the batch context, reqID = "<batch>.<i>");
 // POST /sessions/{id}/solve shares the engine with a warm solveSource.
 func (a *api) solveInstance(ctx context.Context, reqID string, req *InstanceRequest) (*SolveResponse, *solveError) {
-	requested := req.Solver
-	if requested == "" {
-		requested = "auto"
-	}
 	return a.runInstance(ctx, reqID, solveSource{
-		requested: requested,
+		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    req.Tenant,
-		prep: func(tr *telemetry.Trace, phase func(name, solverName string, end func())) (*core.Problem, *solveError) {
-			endParse := tr.Span("parse")
+		prep: func(run *solveRun) (*core.Problem, *solveError) {
+			parseSpan := run.phase("parse", run.requested)
 			db, queries, delta, err := parseInstance(req)
-			phase("parse", requested, endParse)
+			parseSpan.end()
 			if err != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
 			}
-			endViews := tr.Span("views")
-			p, err := materializeProblem(req, db, queries, delta)
-			phase("views", requested, endViews)
+			viewsSpan := run.phase("views", run.requested)
+			p, err := core.NewProblem(db, queries, delta)
+			if err == nil {
+				err = applyWeights(p, req.Weights)
+			}
+			viewsSpan.end()
 			if err != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
 			}
@@ -570,9 +549,10 @@ func (a *api) solveInstance(ctx context.Context, reqID string, req *InstanceRequ
 
 // runInstance is the shared solve engine: deadline resolution, tenant
 // shaping, classification-driven solver selection, breaker rerouting, the
-// supervised solve, evaluation and the full observability surface
-// (traces, metrics, events, flight recorder). Cold and warm paths differ
-// only in their solveSource.
+// supervised solve and evaluation. Every observability sink (traces,
+// metrics, events, flight recorder, log line) is fed through the
+// request's solveRun. Cold and warm paths differ only in their
+// solveSource.
 func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*SolveResponse, *solveError) {
 	tenant, pol, info := a.tenantShaping(ctx, src.tenant)
 	deadline, err := a.solveDeadline(src.timeout, pol)
@@ -588,56 +568,17 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 			deadline = dd
 		}
 	}
-	tr := a.cfg.Tracer.Start("solve")
-	defer tr.Finish()
-	tr.SetAttr("requestId", reqID)
-	if tenant != "" {
-		tr.SetAttr("tenant", tenant)
+	if src.requested == "" {
+		src.requested = "auto"
 	}
-	if degraded {
-		// Keep the admission outcome on the trace so /debug/traces can
-		// answer "whose solves degraded" without grepping logs.
-		tr.SetAttr("degraded", "true")
-		tr.SetAttr("rule", degradedRule)
-	}
-	if src.sessionID != "" {
-		// Warm solves carry their session so /debug/traces can separate
-		// amortized solves from cold ones.
-		tr.SetAttr("session", src.sessionID)
-		tr.SetAttr("warm", "true")
-	}
-	traceID := tr.ID()
+	run := a.startSolveRun(reqID, tenant, degraded, degradedRule, src, deadline)
+	defer run.tr.Finish()
 
-	// Live egress: every event of this solve carries the request id and
-	// trace id, so a /events consumer can join the stream against the
-	// /solve response, the log line and /debug/traces.
-	requested := src.requested
-	startFields := map[string]any{
-		"deadlineMs": float64(deadline) / float64(time.Millisecond),
-		"degraded":   degraded,
-	}
-	if src.sessionID != "" {
-		startFields["session"] = src.sessionID
-	}
-	a.publishEvent(eventSolveStart, reqID, traceID, tenant, requested, startFields)
-	phase := func(name string, solverName string, end func()) {
-		end()
-		a.publishEvent(eventPhase, reqID, traceID, tenant, solverName, map[string]any{
-			"phase":      name,
-			"durationMs": float64(tr.SpanDuration(name)) / float64(time.Millisecond),
-		})
-	}
-
-	p, serr := src.prep(tr, phase)
+	p, serr := src.prep(run)
 	if serr != nil {
 		return nil, serr
 	}
-	// Instance-size attributes: |D| source tuples, m queries, Σ|ΔVi|
-	// requested view deletions.
-	dbSize, numQueries, deltaSize := p.DB.Size(), len(p.Queries), p.Delta.Len()
-	tr.SetAttr("dbSize", strconv.Itoa(dbSize))
-	tr.SetAttr("queries", strconv.Itoa(numQueries))
-	tr.SetAttr("deltaSize", strconv.Itoa(deltaSize))
+	run.instance(p)
 
 	name := src.requested
 	// The allow-list matches the *requested* name ("auto" included), so
@@ -650,9 +591,9 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	if degraded {
 		name = pol.DegradeSolverName()
 	}
-	endClassify := tr.Span("classify")
+	classifySpan := run.phase("classify", name)
 	solver, err := PickSolver(name, p)
-	phase("classify", name, endClassify)
+	classifySpan.end()
 	if err != nil {
 		return nil, &solveError{http.StatusBadRequest, codeUnknownSolver, err}
 	}
@@ -662,125 +603,33 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	// request proceeds and its outcome is ignored by the open breaker.
 	if !a.breakers.Allow(solver.Name()) {
 		if fb, ferr := PickSolver(pol.DegradeSolverName(), p); ferr == nil && fb.Name() != solver.Name() {
-			a.observeBreakerReroute(solver.Name(), fb.Name())
-			a.cfg.Logger.Warn("breaker open; rerouting to fallback solver",
-				"requestId", reqID, "solver", solver.Name(), "fallback", fb.Name())
+			run.reroute(solver.Name(), fb.Name())
 			solver = fb
 		}
 	}
-	tr.SetAttr("solver", solver.Name())
+	solverName := solver.Name()
+	run.tr.SetAttr("solver", solverName)
 
 	ctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 	ctx, stats := core.WithStats(ctx)
 	ctx, race := core.WithRace(ctx)
-	// Stream solver progress live: incumbent improvements, lower-bound
-	// certificates and race member lifecycle flow straight from the
-	// solver goroutines onto the (non-blocking) bus.
-	resolvedSolver := solver.Name()
-	stats.SetProgress(func(pe core.ProgressEvent) {
-		fields := make(map[string]any, 3)
-		switch pe.Kind {
-		case core.ProgressIncumbent:
-			fields["objective"] = pe.Objective
-			fields["deleted"] = pe.Deleted
-		case core.ProgressLowerBound:
-			fields["bound"] = pe.Objective
-		case core.ProgressRaceMemberStart, core.ProgressRaceMemberDone:
-			fields["member"] = pe.Member
-			if pe.Outcome != "" {
-				fields["outcome"] = pe.Outcome
-				fields["objective"] = pe.Objective
-			}
-		}
-		a.publishEvent(pe.Kind, reqID, traceID, tenant, resolvedSolver, fields)
-	})
-	endSolve := tr.Span("solve")
-	solveStart := time.Now()
+	stats.SetProgress(run.progress(solverName))
+	solveSpan := run.phase("solve", solverName)
 	out, stopped := a.runSolve(ctx, reqID, solver, p, deadline)
-	solveDur := time.Since(solveStart)
-	phase("solve", resolvedSolver, endSolve)
+	solveSpan.end()
 
-	// finish records the solve metrics, the breaker outcome, and the
-	// structured solve log line exactly once per request, whatever the
-	// outcome.
 	snap := stats.Snapshot()
-	finish := func(outcome string) {
-		tr.SetAttr("outcome", outcome)
-		a.observeSolve(solver.Name(), outcome, solveDur, snap)
-		doneFields := map[string]any{
-			"outcome":    outcome,
-			"durationMs": float64(solveDur) / float64(time.Millisecond),
-			"nodes":      snap.NodesExpanded,
-			"incumbents": snap.IncumbentUpdates,
-		}
-		if snap.Objective != nil {
-			doneFields["objective"] = *snap.Objective
-		}
-		if degraded {
-			doneFields["degraded"] = true
-			doneFields["rule"] = degradedRule
-		}
-		a.publishEvent(eventSolveDone, reqID, traceID, tenant, solver.Name(), doneFields)
-		// Hard failures (the solver broke, not the input) feed the breaker;
-		// client cancellations and solver-reported errors are neutral so a
-		// misbehaving client cannot trip a healthy solver's breaker.
-		switch outcome {
-		case "panic", "timeout", "unstoppable":
-			a.breakers.Record(solver.Name(), admission.OutcomeFailure)
-		case "ok", "partial":
-			a.breakers.Record(solver.Name(), admission.OutcomeSuccess)
-		default:
-			a.breakers.Record(solver.Name(), admission.OutcomeNeutral)
-		}
-		if degraded {
-			a.observeDegraded(tenant, degradedRule)
-		}
-		// Feed the flight recorder: the record correlates later SLO
-		// breaches to this request, and hard failures / over-SLO solves
-		// capture a postmortem bundle immediately.
-		a.recordSolve(solveRecord{
-			at:       time.Now(),
-			reqID:    reqID,
-			traceID:  traceID,
-			tenant:   tenant,
-			solver:   solver.Name(),
-			outcome:  outcome,
-			durMs:    float64(solveDur) / float64(time.Millisecond),
-			degraded: degraded,
-			rule:     degradedRule,
-			stats:    snap,
-		})
-		a.cfg.Logger.Info("solve",
-			"requestId", reqID,
-			"solver", solver.Name(),
-			"outcome", outcome,
-			"tenant", tenant,
-			"degraded", degraded,
-			"rule", degradedRule,
-			"dbSize", dbSize,
-			"queries", numQueries,
-			"deltaSize", deltaSize,
-			"parseMs", tr.SpanDuration("parse").Milliseconds(),
-			"viewsMs", tr.SpanDuration("views").Milliseconds(),
-			"classifyMs", tr.SpanDuration("classify").Milliseconds(),
-			"solveMs", solveDur.Milliseconds(),
-			"nodes", snap.NodesExpanded,
-			"pruned", snap.BranchesPruned,
-			"checkpoints", snap.Checkpoints,
-			"incumbents", snap.IncumbentUpdates,
-			"restarts", snap.Restarts)
-	}
 	if !stopped {
-		finish("unstoppable")
+		run.finish("unstoppable", solverName, snap)
 		return nil, &solveError{http.StatusGatewayTimeout, codeSolverUnstoppable,
-			fmt.Errorf("solver %s did not stop within the %v deadline", solver.Name(), deadline)}
+			fmt.Errorf("solver %s did not stop within the %v deadline", solverName, deadline)}
 	}
 	sol, partial, interrupted := out.sol, false, ""
 	if out.err != nil {
 		switch {
 		case errors.Is(out.err, errSolverPanic):
-			finish("panic")
+			run.finish("panic", solverName, snap)
 			return nil, &solveError{http.StatusInternalServerError, codeInternal,
 				fmt.Errorf("internal error (request %s)", reqID)}
 		// Also match raw context errors: the core suite always wraps them in
@@ -797,7 +646,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 					// log's benefit only.
 					status, code, outcome = statusClientClosedRequest, codeCanceled, "canceled"
 				}
-				finish(outcome)
+				run.finish(outcome, solverName, snap)
 				return nil, &solveError{status, code, out.err}
 			}
 			sol, partial = inc, true
@@ -806,14 +655,14 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 				interrupted = "canceled"
 			}
 		default:
-			finish("error")
+			run.finish("error", solverName, snap)
 			return nil, &solveError{http.StatusUnprocessableEntity, codeSolverFailed, out.err}
 		}
 	}
-	endEvaluate := tr.Span("evaluate")
+	evalSpan := run.phase("evaluate", solverName)
 	rep := p.Evaluate(sol)
 	resp := SolveResponse{
-		Solver:       solver.Name(),
+		Solver:       solverName,
 		Feasible:     rep.Feasible,
 		SideEffect:   rep.SideEffect,
 		BadRemaining: rep.BadRemaining,
@@ -857,26 +706,16 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 		stats.SetObjective(rep.SideEffect)
 	}
 	// Re-snapshot so the response stats and the quality-ratio histogram in
-	// finish() see the evaluate-phase objective and bound.
+	// finish see the evaluate-phase objective and bound.
 	snap = stats.Snapshot()
-	phase("evaluate", solver.Name(), endEvaluate)
-	if race.Ran() {
-		rs := race.Snapshot()
-		resp.Race = &rs
-		a.observeRace(rs)
-	}
+	evalSpan.end()
+	resp.Race = run.race(race)
+	outcome := "ok"
 	if partial {
-		finish("partial")
-	} else {
-		finish("ok")
+		outcome = "partial"
 	}
-	resp.PhaseMs = map[string]float64{
-		"parse":    float64(tr.SpanDuration("parse")) / float64(time.Millisecond),
-		"views":    float64(tr.SpanDuration("views")) / float64(time.Millisecond),
-		"classify": float64(tr.SpanDuration("classify")) / float64(time.Millisecond),
-		"solve":    float64(solveDur) / float64(time.Millisecond),
-		"evaluate": float64(tr.SpanDuration("evaluate")) / float64(time.Millisecond),
-	}
+	run.finish(outcome, solverName, snap)
+	resp.PhaseMs = run.phaseMs
 	return &resp, nil
 }
 

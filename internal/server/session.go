@@ -81,17 +81,20 @@ func (a *api) initSessions() {
 		"Session lookups that found nothing warm: first-sight registrations, unknown or expired session ids.", nil)
 	entries := reg.Gauge(metricSessionEntries,
 		"Sessions currently resident in the registry.", nil)
+	a.warmSolve = reg.Histogram(metricSessionWarmSolve,
+		"End-to-end latency of warm session solves in seconds (request decode through response).",
+		nil, nil)
 	a.sessions = session.NewRegistry(session.Config{
 		TTL:        a.cfg.SessionTTL,
 		MaxEntries: a.cfg.MaxSessions,
 		Hooks: session.Hooks{
 			OnHit: func(id string) {
 				hits.Inc()
-				a.publishEvent(eventSessionHit, "", 0, "", "", map[string]any{"sessionId": id})
+				a.cfg.Events.Publish(telemetry.Event{Type: eventSessionHit, Fields: map[string]any{"sessionId": id}})
 			},
 			OnMiss: func(id string) {
 				misses.Inc()
-				a.publishEvent(eventSessionMiss, "", 0, "", "", map[string]any{"sessionId": id})
+				a.cfg.Events.Publish(telemetry.Event{Type: eventSessionMiss, Fields: map[string]any{"sessionId": id}})
 			},
 			OnEvict: func(id, reason string) {
 				// reason is one of the five session.Evict* constants, so the
@@ -99,9 +102,9 @@ func (a *api) initSessions() {
 				reg.Counter(metricSessionEvictions,
 					"Sessions removed from the registry, by reason (ttl, capacity, explicit, drain, error).",
 					telemetry.Labels{"reason": reason}).Inc()
-				a.publishEvent(eventSessionEvicted, "", 0, "", "", map[string]any{
+				a.cfg.Events.Publish(telemetry.Event{Type: eventSessionEvicted, Fields: map[string]any{
 					"sessionId": id, "reason": reason,
-				})
+				}})
 			},
 			OnEntries: func(n int) { entries.Set(float64(n)) },
 		},
@@ -138,7 +141,7 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		endViews := tr.Span("views")
 		defer endViews()
-		return materializeProblem(ireq, db, queries, nil)
+		return core.NewProblem(db, queries, nil)
 	})
 	if err != nil {
 		switch {
@@ -197,10 +200,6 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	defer a.sessions.Release(e)
 
 	skel := e.Problem()
-	requested := req.Solver
-	if requested == "" {
-		requested = "auto"
-	}
 	// Warm solves are charged to the solve request's tenant when it names
 	// one, else to the tenant the session was registered under.
 	tenant := req.Tenant
@@ -208,21 +207,21 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		tenant = e.Tenant
 	}
 	resp, serr := a.runInstance(r.Context(), reqID, solveSource{
-		requested: requested,
+		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    tenant,
 		sessionID: e.ID,
 		entry:     e,
-		prep: func(tr *telemetry.Trace, phase func(name, solverName string, end func())) (*core.Problem, *solveError) {
+		prep: func(run *solveRun) (*core.Problem, *solveError) {
 			// The warm "parse" span covers only the deletion request —
 			// the database and queries were parsed at registration.
-			endParse := tr.Span("parse")
+			parseSpan := run.phase("parse", run.requested)
 			var delta *view.Deletion
 			var perr error
 			if req.Deletions != "" {
 				delta, perr = textio.ParseDeletions(req.Deletions, skel.Queries)
 			}
-			phase("parse", requested, endParse)
+			parseSpan.end()
 			if perr != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest,
 					fmt.Errorf("deletions: %w", perr)}
@@ -230,21 +229,12 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 			// The warm "views" span covers specialization: delta
 			// validation plus weight application over the shared views —
 			// no materialization.
-			endViews := tr.Span("views")
+			viewsSpan := run.phase("views", run.requested)
 			p, perr := skel.Specialize(delta)
 			if perr == nil {
-				for spec, weight := range req.Weights {
-					del, werr := textio.ParseDeletions(spec, skel.Queries)
-					if werr != nil {
-						perr = fmt.Errorf("weights: %w", werr)
-						break
-					}
-					for _, ref := range del.Refs() {
-						p.SetWeight(ref, weight)
-					}
-				}
+				perr = applyWeights(p, req.Weights)
 			}
-			phase("views", requested, endViews)
+			viewsSpan.end()
 			if perr != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, perr}
 			}
@@ -255,9 +245,7 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		serr.write(w, reqID)
 		return
 	}
-	a.cfg.Metrics.Histogram(metricSessionWarmSolve,
-		"End-to-end latency of warm session solves in seconds (request decode through response).",
-		nil, nil).Observe(time.Since(start).Seconds())
+	a.warmSolve.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, resp)
 }
 

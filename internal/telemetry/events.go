@@ -82,24 +82,39 @@ const DefaultSubscriberBuffer = 256
 // blocks: each subscriber owns a fixed-capacity ring buffer, and when a
 // slow consumer lets its ring fill, the oldest buffered event is evicted
 // (the subscriber keeps the most recent events and a count of what it
-// lost). Publishing with no subscribers is a cheap counter increment. A
+// lost). The bus also keeps its own history: every published event is
+// appended to a Journal of the last DefaultJournalCapacity events, which
+// outlives Shutdown so postmortems captured during drain still see it. A
 // nil *Bus is a valid no-op, so instrumented code needs no guards.
 //
 //delprop:nilsafe
 type Bus struct {
-	mu     sync.Mutex
-	subs   map[*Subscription]struct{} //delprop:guardedby mu
-	hooks  BusHooks                   //delprop:guardedby mu
-	closed bool                       //delprop:guardedby mu
+	mu      sync.Mutex
+	subs    map[*Subscription]struct{} //delprop:guardedby mu
+	hooks   BusHooks                   //delprop:guardedby mu
+	closed  bool                       //delprop:guardedby mu
+	journal *Journal                   // immutable after NewBus
 
 	seq       atomic.Uint64
 	published atomic.Int64
 	dropped   atomic.Int64
 }
 
-// NewBus returns an empty bus.
+// NewBus returns an empty bus with an empty history.
 func NewBus() *Bus {
-	return &Bus{subs: make(map[*Subscription]struct{})}
+	return &Bus{
+		subs:    make(map[*Subscription]struct{}),
+		journal: NewJournal(DefaultJournalCapacity),
+	}
+}
+
+// Journal returns the bus's retained history of published events (nil
+// for a nil bus, which a nil-safe Journal treats as empty).
+func (b *Bus) Journal() *Journal {
+	if b == nil {
+		return nil
+	}
+	return b.journal
 }
 
 // SetHooks installs the health hooks (replacing any previous set). Call
@@ -113,10 +128,11 @@ func (b *Bus) SetHooks(h BusHooks) {
 	b.mu.Unlock()
 }
 
-// Publish stamps the event (sequence number, and time when unset) and
-// fans it out to every matching subscriber's buffer. It never blocks on
-// a consumer and is safe for concurrent use. The stamped event is
-// returned so callers can journal or correlate it.
+// Publish stamps the event (sequence number, and time when unset),
+// appends it to the bus's journal and fans it out to every matching
+// subscriber's buffer. It never blocks on a consumer and is safe for
+// concurrent use. The stamped event is returned so callers can
+// correlate it.
 func (b *Bus) Publish(ev Event) Event {
 	if b == nil {
 		return ev
@@ -128,6 +144,7 @@ func (b *Bus) Publish(ev Event) Event {
 	b.published.Add(1)
 	b.mu.Lock()
 	onPublish, onDrop := b.hooks.OnPublish, b.hooks.OnDrop
+	b.journal.Append(ev)
 	drops := 0
 	for s := range b.subs {
 		if s.filter.Match(ev) {
@@ -160,28 +177,26 @@ func (b *Bus) Subscribe(filter Filter, buffer int) *Subscription {
 	s := &Subscription{
 		bus:    b,
 		filter: filter,
-		buf:    make([]Event, 0, buffer),
-		cap:    buffer,
+		buf:    NewRing[Event](buffer),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
-	if b == nil {
-		// Born done, but through closeOnce so a caller's Close stays safe.
-		s.closeOnce.Do(func() { close(s.done) })
-		return s
-	}
-	b.mu.Lock()
-	if b.closed {
+	if b != nil {
+		b.mu.Lock()
+		if !b.closed {
+			b.subs[s] = struct{}{}
+			n, hook := len(b.subs), b.hooks.OnSubscribers
+			b.mu.Unlock()
+			if hook != nil {
+				hook(n)
+			}
+			return s
+		}
 		b.mu.Unlock()
-		s.closeOnce.Do(func() { close(s.done) })
-		return s
 	}
-	b.subs[s] = struct{}{}
-	n, hook := len(b.subs), b.hooks.OnSubscribers
-	b.mu.Unlock()
-	if hook != nil {
-		hook(n)
-	}
+	// A nil or shut-down bus hands out a subscription born done, through
+	// closeOnce so a caller's Close stays safe.
+	s.closeOnce.Do(func() { close(s.done) })
 	return s
 }
 
@@ -248,11 +263,9 @@ type Subscription struct {
 	bus    *Bus
 	filter Filter
 
-	mu sync.Mutex
-	// buf holds pending events, oldest first.
-	buf     []Event //delprop:guardedby mu
-	cap     int     // immutable after Subscribe
-	dropped int64   //delprop:guardedby mu
+	mu      sync.Mutex
+	buf     Ring[Event] //delprop:guardedby mu
+	dropped int64       //delprop:guardedby mu
 
 	notify    chan struct{}
 	done      chan struct{}
@@ -263,15 +276,11 @@ type Subscription struct {
 // was evicted to make room.
 func (s *Subscription) push(ev Event) (evicted bool) {
 	s.mu.Lock()
-	if len(s.buf) >= s.cap {
-		// Evict the oldest event: a lagging tail wants the newest state,
-		// and the Seq gap plus the drop counter make the loss visible.
-		copy(s.buf, s.buf[1:])
-		s.buf = s.buf[:len(s.buf)-1]
+	// A full ring evicts its oldest event: a lagging tail wants the newest
+	// state, and the Seq gap plus the drop counter make the loss visible.
+	if evicted = s.buf.Push(ev); evicted {
 		s.dropped++
-		evicted = true
 	}
-	s.buf = append(s.buf, ev)
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -292,18 +301,7 @@ func (s *Subscription) Done() <-chan struct{} { return s.done }
 func (s *Subscription) Drain(max int) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.buf)
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]Event, n)
-	copy(out, s.buf[:n])
-	rest := copy(s.buf, s.buf[n:])
-	s.buf = s.buf[:rest]
-	return out
+	return s.buf.Pop(max)
 }
 
 // Dropped returns how many events this subscription lost to its buffer

@@ -3,17 +3,16 @@ package telemetry
 import "sync"
 
 // Journal is a bounded ring of recently published events kept for
-// postmortem correlation. The bus fans events out to live subscribers
-// and forgets them; the journal remembers the last N so a flight
-// recorder can reconstruct "what else was happening" around a failing
-// request after the fact. A nil *Journal is a valid no-op.
+// postmortem correlation. Subscribers see only what arrives while they
+// are connected; the journal remembers the last N so a flight recorder
+// can reconstruct "what else was happening" around a failing request
+// after the fact. Every Bus keeps one (Bus.Journal). A nil *Journal is a
+// valid no-op.
 //
 //delprop:nilsafe
 type Journal struct {
 	mu   sync.Mutex
-	buf  []Event //delprop:guardedby mu
-	head int     //delprop:guardedby mu
-	n    int     //delprop:guardedby mu
+	ring Ring[Event] //delprop:guardedby mu
 }
 
 // DefaultJournalCapacity bounds the journal when the caller passes <= 0.
@@ -25,7 +24,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{buf: make([]Event, capacity)}
+	return &Journal{ring: NewRing[Event](capacity)}
 }
 
 // Append records one (already stamped) event, evicting the oldest when
@@ -36,13 +35,7 @@ func (j *Journal) Append(ev Event) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.n < len(j.buf) {
-		j.buf[(j.head+j.n)%len(j.buf)] = ev
-		j.n++
-		return
-	}
-	j.buf[j.head] = ev
-	j.head = (j.head + 1) % len(j.buf)
+	j.ring.Push(ev)
 }
 
 // Len returns the number of retained events.
@@ -52,7 +45,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return j.ring.Len()
 }
 
 // ByRequest returns the retained events stamped with the given request
@@ -64,9 +57,8 @@ func (j *Journal) ByRequest(requestID string) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []Event
-	for i := 0; i < j.n; i++ {
-		ev := j.buf[(j.head+i)%len(j.buf)]
-		if ev.RequestID == requestID {
+	for i := 0; i < j.ring.Len(); i++ {
+		if ev := j.ring.At(i); ev.RequestID == requestID {
 			out = append(out, ev)
 		}
 	}
@@ -81,13 +73,13 @@ func (j *Journal) Recent(limit int) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := j.n
+	n := j.ring.Len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	out := make([]Event, 0, n)
-	for i := j.n - n; i < j.n; i++ {
-		out = append(out, j.buf[(j.head+i)%len(j.buf)])
+	for i := j.ring.Len() - n; i < j.ring.Len(); i++ {
+		out = append(out, j.ring.At(i))
 	}
 	return out
 }

@@ -67,40 +67,24 @@ type tickSample struct {
 }
 
 // seriesRing is the bounded sample history of one (metric, labels)
-// series: a ring of the most recent samples, oldest first from head.
+// series: a ring of the most recent samples, oldest first.
 type seriesRing struct {
 	name      string
 	kind      string
 	labelsKey string
 	labels    Labels
 	bounds    []float64
-	buf       []tickSample
-	head      int // index of the oldest sample
-	n         int // live samples
+	Ring[tickSample]
 }
-
-// push appends a sample, evicting the oldest when full.
-func (r *seriesRing) push(s tickSample) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = s
-		r.n++
-		return
-	}
-	r.buf[r.head] = s
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// at returns the i-th sample, oldest first.
-func (r *seriesRing) at(i int) tickSample { return r.buf[(r.head+i)%len(r.buf)] }
 
 // selectWindow returns the samples covering [now-w, now]: every sample
 // inside the window plus the one immediately before it (the baseline
 // counter deltas are measured from). Oldest first.
 func (r *seriesRing) selectWindow(now time.Time, w time.Duration) []tickSample {
 	cut := now.Add(-w)
-	first := r.n // index of the first in-window sample
-	for i := 0; i < r.n; i++ {
-		if r.at(i).at.After(cut) {
+	first := r.Len() // index of the first in-window sample
+	for i := 0; i < r.Len(); i++ {
+		if r.At(i).at.After(cut) {
 			first = i
 			break
 		}
@@ -109,9 +93,9 @@ func (r *seriesRing) selectWindow(now time.Time, w time.Duration) []tickSample {
 	if start > 0 {
 		start-- // baseline
 	}
-	out := make([]tickSample, 0, r.n-start)
-	for i := start; i < r.n; i++ {
-		out = append(out, r.at(i))
+	out := make([]tickSample, 0, r.Len()-start)
+	for i := start; i < r.Len(); i++ {
+		out = append(out, r.At(i))
 	}
 	return out
 }
@@ -220,12 +204,12 @@ func (s *Sampler) Tick() {
 				labelsKey: m.LabelsKey,
 				labels:    m.Labels,
 				bounds:    m.Bounds,
-				buf:       make([]tickSample, s.capacity()),
+				Ring:      NewRing[tickSample](s.capacity()),
 			}
 			s.rings[key] = ring
 			s.order = append(s.order, key)
 		}
-		ring.push(tickSample{at: now, value: m.Value, count: m.Count, sum: m.Sum, buckets: m.Buckets})
+		ring.Push(tickSample{at: now, value: m.Value, count: m.Count, sum: m.Sum, buckets: m.Buckets})
 	}
 	s.ticks++
 	s.lastTick = now
@@ -403,8 +387,8 @@ func (s *Sampler) GaugeWindow(name string, match map[string][]string, w time.Dur
 		var sum float64
 		n := 0
 		var last float64
-		for i := 0; i < r.n; i++ {
-			sm := r.at(i)
+		for i := 0; i < r.Len(); i++ {
+			sm := r.At(i)
 			if !sm.at.After(cut) {
 				continue
 			}

@@ -14,10 +14,9 @@ import (
 //
 //delprop:nilsafe
 type Tracer struct {
-	mu  sync.Mutex
-	cap int // immutable after NewTracer
-	// ring holds the most recent cap finished traces, oldest first.
-	ring   []*Trace          //delprop:guardedby mu
+	mu sync.Mutex
+	// ring holds the most recent finished traces, oldest first.
+	ring   Ring[*Trace]      //delprop:guardedby mu
 	live   map[uint64]*Trace //delprop:guardedby mu
 	nextID uint64            //delprop:guardedby mu
 }
@@ -31,7 +30,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceBuffer
 	}
-	return &Tracer{cap: capacity}
+	return &Tracer{ring: NewRing[*Trace](capacity)}
 }
 
 // Trace is one in-flight or finished trace: a named operation with
@@ -163,10 +162,7 @@ func (tr *Trace) Finish() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.live, tr.id)
-	t.ring = append(t.ring, tr)
-	if len(t.ring) > t.cap {
-		t.ring = t.ring[len(t.ring)-t.cap:]
-	}
+	t.ring.Push(tr)
 }
 
 // SpanJSON is one phase of a trace in the /debug/traces schema.
@@ -197,7 +193,10 @@ func (t *Tracer) Snapshot() []TraceJSON {
 		return nil
 	}
 	t.mu.Lock()
-	ring := append([]*Trace(nil), t.ring...)
+	ring := make([]*Trace, t.ring.Len())
+	for i := range ring {
+		ring[i] = t.ring.At(i)
+	}
 	t.mu.Unlock()
 	out := make([]TraceJSON, 0, len(ring))
 	for _, tr := range ring {
