@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff perfbench-test experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit loc smoke chaos-smoke events-smoke series-smoke session-smoke clean
+.PHONY: all build test test-short race race-hot cover bench bench-layers bench-json bench-diff perfbench-test experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit loc smoke chaos-smoke events-smoke series-smoke session-smoke clean
 
 all: build test
 
@@ -30,6 +30,14 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Layer micro-benchmarks of the cold request path (tuple encoding, join
+# evaluation, materialization, the pivot-forest check), five runs each
+# with allocations, for before/after tables.
+LAYER_BENCHES = ^Benchmark(NewProblem|Materialize|CQEvaluate|CQEvaluateStar|IsPivotForest|IsPivotForestCold)$$
+bench-layers:
+	$(GO) test -run '^$$' -bench '$(LAYER_BENCHES)' -benchmem -count=5 .
+	$(GO) test -run '^$$' -bench '^BenchmarkEncode$$' -benchmem -count=5 ./internal/relation/
 
 # Self-test of the request benchmark (perfbench/, its own module): keeps
 # BENCHMARK.json in step with the metrics the program prints.

@@ -437,6 +437,20 @@ func perfbenchStar() *workload.Workload {
 	})
 }
 
+// BenchmarkCQEvaluateStar measures the join evaluator on the request
+// benchmark's star family: every query of the family per iteration.
+func BenchmarkCQEvaluateStar(b *testing.B) {
+	w := perfbenchStar()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, q := range w.Queries {
+			if _, err := cq.Evaluate(q, w.DB); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkNewProblem measures the cold views layer on the star family:
 // evaluation with provenance, materialization, the inverted index and the
 // deletion check — everything a cold request pays before classification.
@@ -475,6 +489,25 @@ func BenchmarkIsPivotForest(b *testing.B) {
 		}
 		if !core.IsPivotForest(p) {
 			b.Fatal("pivot family must be a pivot forest")
+		}
+	}
+}
+
+// BenchmarkIsPivotForestCold measures the pivot-forest check as a cold
+// star request pays it: the layout is built, and rejected, on a fresh
+// problem per iteration (built outside the timer).
+func BenchmarkIsPivotForestCold(b *testing.B) {
+	w := perfbenchStar()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := core.NewProblem(w.DB, w.Queries, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if core.IsPivotForest(p) {
+			b.Fatal("star family must not be a pivot forest")
 		}
 	}
 }

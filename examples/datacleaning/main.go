@@ -40,11 +40,11 @@ func main() {
 		}
 	}
 	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			for _, d := range ans.Derivations {
-				for _, t := range d {
+		for pos := range v.Result.NumAnswers() {
+			for k := range v.Result.NumDerivations(pos) {
+				for _, t := range v.Result.Derivation(pos, k) {
 					if corrupt[p.DB.ByID(t).Key()] {
-						p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+						p.Delta.Add(v.Ref(pos))
 					}
 				}
 			}

@@ -53,7 +53,7 @@ func main() {
 	refs := func(ids []int) []view.TupleRef {
 		out := make([]view.TupleRef, len(ids))
 		for i, id := range ids {
-			out[i], _ = view.Resolve(views, id)
+			out[i] = view.Resolve(views, id)
 		}
 		return out
 	}

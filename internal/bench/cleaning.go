@@ -8,7 +8,6 @@ import (
 
 	"delprop/internal/benchkit"
 	"delprop/internal/core"
-	"delprop/internal/view"
 	"delprop/internal/workload"
 )
 
@@ -53,17 +52,17 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			// corrupt tuple is wrong; only a fraction is reported.
 			rng := rand.New(rand.NewSource(seed + 900))
 			for _, v := range p.Views {
-				for _, ans := range v.Result.Answers() {
+				for pos := range v.Result.NumAnswers() {
 					touched := false
-					for _, d := range ans.Derivations {
-						for _, t := range d {
+					for k := range v.Result.NumDerivations(pos) {
+						for _, t := range v.Result.Derivation(pos, k) {
 							if plantedIDs.Has(t) {
 								touched = true
 							}
 						}
 					}
 					if touched && rng.Float64() < frac {
-						p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+						p.Delta.Add(v.Ref(pos))
 					}
 				}
 			}

@@ -60,12 +60,12 @@ func (p *Problem) capacities(cands relation.IDSet, keep []bool) []float64 {
 	capacity := make([]float64, p.DB.NumIDs())
 	p.requested()
 	for _, v := range p.Views {
-		for pos, ans := range v.Result.Answers() {
+		for pos := range v.Result.NumAnswers() {
 			id := v.Offset + pos
-			if p.Delta.Has(id) || (keep != nil && !keep[id]) || len(ans.Derivations) == 0 {
+			if p.Delta.Has(id) || (keep != nil && !keep[id]) {
 				continue
 			}
-			path := view.Distinct(ans.Derivations[0])
+			path := view.Distinct(v.Result.Derivation(pos, 0))
 			share := p.weight(id) / float64(len(path))
 			for _, t := range path {
 				if cands.Has(t) {
@@ -94,19 +94,15 @@ func (p *Problem) requests(cands relation.IDSet) []request {
 		if id < 0 {
 			continue
 		}
-		ans := p.answer(id)
-		if len(ans.Derivations) == 0 {
-			continue
-		}
+		res, pos := p.answer(id)
 		var path []relation.TID
-		for _, t := range view.Distinct(ans.Derivations[0]) {
+		for _, t := range view.Distinct(res.Derivation(pos, 0)) {
 			if cands.Has(t) {
 				path = append(path, t)
 			}
 		}
 		p.sortTuples(path)
-		ref, _ := view.Resolve(p.Views, id)
-		reqs = append(reqs, request{ref: id, key: string(ref.AppendKey(nil)), path: path})
+		reqs = append(reqs, request{ref: id, key: p.refKey(id), path: path})
 	}
 	sort.Slice(reqs, func(i, j int) bool {
 		if len(reqs[i].path) != len(reqs[j].path) {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 
+	"delprop/internal/cq"
 	"delprop/internal/relation"
 	"delprop/internal/view"
 )
@@ -104,83 +105,109 @@ func (p *Problem) pivotLayout() (*pivotLayout, error) {
 // order breaks.
 func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			if len(ans.Derivations) != 1 {
-				return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, len(ans.Derivations))
-			}
-			if len(ans.Derivations[0]) == 0 {
-				return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
+		for pos := range v.Result.NumAnswers() {
+			if n := v.Result.NumDerivations(pos); n != 1 {
+				return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, n)
 			}
 		}
 	}
-	// pathOf returns a view tuple's (unique) derivation as a tuple set.
-	pathOf := func(ref int) []relation.TID { return view.Distinct(p.answer(ref).Derivations[0]) }
-	nRefs := p.TotalViewSize()
-	// Union-find over tuple IDs to find components.
+	// eachDerivation walks every view tuple's (unique) derivation in ref
+	// order. Tuples a self-join repeats do not matter to the components;
+	// pathOf returns one view tuple's derivation as a tuple set.
+	eachDerivation := func(f func(ref int, d cq.Derivation)) {
+		for _, v := range p.Views {
+			for pos := range v.Result.NumAnswers() {
+				f(v.Offset+pos, v.Result.Derivation(pos, 0))
+			}
+		}
+	}
+	pathOf := func(ref int) []relation.TID {
+		res, pos := p.answer(ref)
+		return view.Distinct(res.Derivation(pos, 0))
+	}
+	// Union-find over tuple IDs to find components; -1 for tuples in no
+	// view.
 	nt := p.DB.NumIDs()
 	parent := make([]int32, nt)
 	for i := range parent {
 		parent[i] = -1
 	}
-	var find func(x relation.TID) relation.TID
-	find = func(x relation.TID) relation.TID {
-		if relation.TID(parent[x]) == x {
-			return x
+	find := func(x relation.TID) relation.TID {
+		// A chain to the root is never longer than the tuples.
+		for i := 0; i < len(parent); i++ {
+			if relation.TID(parent[x]) == x {
+				break
+			}
+			parent[x] = parent[parent[x]]
+			x = relation.TID(parent[x])
 		}
-		root := find(relation.TID(parent[x]))
-		parent[x] = int32(root)
-		return root
+		return x
 	}
-	for ref := range nRefs {
-		path := pathOf(ref)
-		for _, t := range path {
+	eachDerivation(func(_ int, d cq.Derivation) {
+		for _, t := range d {
 			if parent[t] < 0 {
 				parent[t] = int32(t)
 			}
-			parent[find(t)] = int32(find(path[0]))
+			parent[find(t)] = int32(find(d[0]))
 		}
-	}
-	// Group refs by component, in first-seen order, and order the
-	// components by their first tuple in canonical order, so the forest
-	// layout — and with it the solution's deletion order — does not depend
-	// on the union order.
+	})
+	// Number the components in first-seen order, counting their refs and
+	// noting each one's first tuple in canonical order: the components
+	// are laid out in that order, so the forest layout — and with it the
+	// solution's deletion order — does not depend on the union order.
+	// Until merge fills it in, end[ref] holds the ref's component.
+	l := &pivotLayout{end: make([]int32, p.TotalViewSize())}
 	rank := p.ranks()
-	compOf := make([]int32, nt)
-	var comps [][]int
-	var first []int32
-	for ref := range nRefs {
-		path := pathOf(ref)
-		root := find(path[0])
+	compOf := make([]int32, nt) // by root: component number plus one
+	var start, first []int32    // per component: its refs, its first rank
+	eachDerivation(func(ref int, d cq.Derivation) {
+		root := find(d[0])
 		if compOf[root] == 0 {
-			comps = append(comps, nil)
+			start = append(start, 0)
 			first = append(first, -1)
-			compOf[root] = int32(len(comps))
+			compOf[root] = int32(len(start))
 		}
 		c := compOf[root] - 1
-		comps[c] = append(comps[c], ref)
-		for _, t := range path {
+		l.end[ref] = c
+		start[c]++
+		for _, t := range d {
 			if first[c] < 0 || rank[t] < first[c] {
 				first[c] = rank[t]
 			}
 		}
+	})
+	// Group the refs by component in one array, in ref order: turn the
+	// counts into offsets, fill (which moves each offset to the next
+	// component's), then shift the offsets back.
+	start = append(start, 0)
+	sum := int32(0)
+	for c, n := range start {
+		start[c], sum = sum, sum+n
 	}
-	order := make([]int, len(comps))
+	grouped := make([]int32, len(l.end))
+	for ref, c := range l.end {
+		grouped[start[c]] = int32(ref)
+		start[c]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	order := make([]int, len(first))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return first[order[a]] < first[order[b]] })
 
-	l := &pivotLayout{end: make([]int32, nRefs)}
 	nodeOf := make([]int32, nt)
 	for i := range nodeOf {
 		nodeOf[i] = -1
 	}
 	for _, c := range order {
-		paths, err := layoutComponent(p, pathOf, comps[c])
+		refs := grouped[start[c]:start[c+1]]
+		paths, err := layoutComponent(p, pathOf, refs)
 		if err != nil {
 			return nil, err
 		}
-		if err := l.merge(p, nodeOf, comps[c], paths); err != nil {
+		if err := l.merge(p, nodeOf, refs, paths); err != nil {
 			return nil, err
 		}
 	}
@@ -194,7 +221,7 @@ func buildPivotLayout(p *Problem) (*pivotLayout, error) {
 // safe because tuples with identical derivation membership have identical
 // kill-sets) yields a consistent layout; the containment of each path
 // element in the next one's ancestor set is verified.
-func layoutComponent(p *Problem, pathOf func(int) []relation.TID, idxs []int) ([][]relation.TID, error) {
+func layoutComponent(p *Problem, pathOf func(int) []relation.TID, refs []int32) ([][]relation.TID, error) {
 	// anc(t) = the tuples present in every derivation containing t (the
 	// inverted index lists them), computed on first use: an instance
 	// that is not a pivot forest usually fails on its first paths.
@@ -204,26 +231,18 @@ func layoutComponent(p *Problem, pathOf func(int) []relation.TID, idxs []int) ([
 			return a
 		}
 		occ := p.Inverted().Occurrences(t)
-		var in []relation.TID
-		for _, cand := range pathOf(int(occ[0].Ref)) {
-			inAll := true
-			for _, o := range occ[1:] {
-				if !slices.Contains(pathOf(int(o.Ref)), cand) {
-					inAll = false
-					break
-				}
-			}
-			if inAll {
-				in = append(in, cand)
-			}
+		in := slices.Clone(pathOf(int(occ[0].Ref)))
+		for _, o := range occ[1:] {
+			path := pathOf(int(o.Ref))
+			in = slices.DeleteFunc(in, func(cand relation.TID) bool { return !slices.Contains(path, cand) })
 		}
 		anc[t] = in
 		return in
 	}
 	rank := p.ranks()
 	var out [][]relation.TID
-	for _, ref := range idxs {
-		path := append([]relation.TID(nil), pathOf(ref)...)
+	for _, ref := range refs {
+		path := slices.Clone(pathOf(int(ref)))
 		sort.Slice(path, func(a, b int) bool {
 			sa, sb := len(ancOf(path[a])), len(ancOf(path[b]))
 			if sa != sb {
@@ -246,7 +265,7 @@ func layoutComponent(p *Problem, pathOf func(int) []relation.TID, idxs []int) ([
 // merge merges one component's root paths into the layout, requiring a
 // unique parent per tuple and a common root. nodeOf maps tuple IDs to
 // nodes.
-func (l *pivotLayout) merge(p *Problem, nodeOf []int32, refs []int, paths [][]relation.TID) error {
+func (l *pivotLayout) merge(p *Problem, nodeOf []int32, refs []int32, paths [][]relation.TID) error {
 	node := func(t relation.TID) int32 {
 		if n := nodeOf[t]; n >= 0 {
 			return n

@@ -37,7 +37,7 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 		var kills, damages []string
 		for _, occ := range p.Inverted().Occurrences(t) {
 			id := int(occ.Ref)
-			ref, _ := view.Resolve(p.Views, id)
+			ref := view.Resolve(p.Views, id)
 			if p.Delta.Has(id) {
 				kills = append(kills, ref.String())
 			} else if occ.Critical {
@@ -69,13 +69,14 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 // options and their collateral — the decision surface of the single-tuple
 // case.
 func ExplainRequest(p *Problem, ref view.TupleRef) (string, error) {
-	ans, ok := p.Answer(ref)
+	res, pos, ok := p.locate(ref)
 	if !ok {
 		return "", fmt.Errorf("core: %s is not a view tuple", ref)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, len(ans.Derivations))
-	for di, d := range ans.Derivations {
+	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, res.NumDerivations(pos))
+	for di := range res.NumDerivations(pos) {
+		d := res.Derivation(pos, di)
 		fmt.Fprintf(&b, "  derivation %d: %s\n", di+1, d.Format(p.DB))
 		path := append([]relation.TID(nil), view.Distinct(d)...)
 		p.sortTuples(path)

@@ -296,7 +296,10 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 	aliveBad := func() int {
 		n := 0
 		for _, ref := range req {
-			if ref >= 0 && view.Survives(p.answer(ref), deleted) {
+			if ref < 0 {
+				continue
+			}
+			if res, pos := p.answer(ref); view.Survives(res, pos, deleted) {
 				n++
 			}
 		}
@@ -308,9 +311,10 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 			if ref < 0 {
 				continue
 			}
-			for _, d := range p.answer(ref).Derivations {
+			res, pos := p.answer(ref)
+			for k := range res.NumDerivations(pos) {
 				hit := false
-				for _, t := range d {
+				for _, t := range res.Derivation(pos, k) {
 					if deleted.Has(t) {
 						hit = true
 						break
@@ -326,8 +330,8 @@ func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) 
 	collateralWeight := func() float64 {
 		w := 0.0
 		for _, v := range p.Views {
-			for pos, ans := range v.Result.Answers() {
-				if id := v.Offset + pos; !p.Delta.Has(id) && !view.Survives(ans, deleted) {
+			for pos := range v.Result.NumAnswers() {
+				if id := v.Offset + pos; !p.Delta.Has(id) && !view.Survives(v.Result, pos, deleted) {
 					w += p.weight(id)
 				}
 			}

@@ -48,11 +48,8 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		if p.Delta.Has(id) {
 			continue
 		}
-		k := 0
-		if ans := p.answer(id); len(ans.Derivations) > 0 {
-			k = len(view.Distinct(ans.Derivations[0]))
-		}
-		if float64(k) <= width {
+		res, pos := p.answer(id)
+		if k := len(view.Distinct(res.Derivation(pos, 0))); float64(k) <= width {
 			keepPreserved[id] = true
 		}
 	}

@@ -257,9 +257,9 @@ func (p *Problem) PreservedRefs() []view.TupleRef {
 	p.requested()
 	var out []view.TupleRef
 	for _, v := range p.Views {
-		for pos, ans := range v.Result.Answers() {
+		for pos := range v.Result.NumAnswers() {
 			if !p.Delta.Has(v.Offset + pos) {
-				out = append(out, view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+				out = append(out, v.Ref(pos))
 			}
 		}
 	}
@@ -272,18 +272,32 @@ func (p *Problem) TotalViewSize() int { return view.TotalSize(p.Views) }
 // MaxArity returns l = max arity(Q).
 func (p *Problem) MaxArity() int { return view.MaxArity(p.Views) }
 
-// Answer returns the provenance answer behind a view tuple reference.
-func (p *Problem) Answer(ref view.TupleRef) (*cq.Answer, bool) {
-	if ref.View < 0 || ref.View >= len(p.Views) {
-		return nil, false
+// Answer returns a snapshot of the provenance behind a view tuple
+// reference (cq.Result.Answer); solvers read it in place instead.
+func (p *Problem) Answer(ref view.TupleRef) (cq.Answer, bool) {
+	res, pos, ok := p.locate(ref)
+	if !ok {
+		return cq.Answer{}, false
 	}
-	return p.Views[ref.View].Result.Lookup(ref.Tuple)
+	return res.Answer(pos), true
 }
 
-// answer returns the provenance answer of the view tuple with ref ID id.
-func (p *Problem) answer(id int) *cq.Answer {
-	_, ans := view.Resolve(p.Views, id)
-	return ans
+// locate returns the result holding the view tuple ref names and the
+// tuple's answer position there, if it is a view tuple.
+func (p *Problem) locate(ref view.TupleRef) (*cq.Result, int, bool) {
+	if ref.View < 0 || ref.View >= len(p.Views) {
+		return nil, 0, false
+	}
+	res := p.Views[ref.View].Result
+	pos, ok := res.Position(ref.Tuple)
+	return res, pos, ok
+}
+
+// answer returns the result holding the view tuple with ref ID id and
+// the tuple's answer position there.
+func (p *Problem) answer(id int) (*cq.Result, int) {
+	v, pos := view.Locate(p.Views, id)
+	return v.Result, pos
 }
 
 // ranks returns the canonical order of the tuples in the views: rank[t]
@@ -340,8 +354,7 @@ func (p *Problem) sortTuples(ids []relation.TID) {
 
 // refKey returns the canonical sort key of the view tuple with ref ID id.
 func (p *Problem) refKey(id int) string {
-	ref, _ := view.Resolve(p.Views, id)
-	return ref.Key()
+	return view.Resolve(p.Views, id).Key()
 }
 
 // sortRefs orders ref IDs canonically, by TupleRef.Key.
@@ -358,8 +371,9 @@ func (p *Problem) candidates() []relation.TID {
 		if id < 0 {
 			continue
 		}
-		for _, d := range p.answer(id).Derivations {
-			for _, t := range d {
+		res, pos := p.answer(id)
+		for k := range res.NumDerivations(pos) {
+			for _, t := range res.Derivation(pos, k) {
 				if !seen.Has(t) {
 					seen.Add(t)
 					out = append(out, t)
@@ -462,7 +476,7 @@ func (p *Problem) Evaluate(sol *Solution) Report {
 // evaluate scores the deletion of the tuples in set, listing the
 // collateral view tuples when asked. DeletedCount is left to the caller.
 func (p *Problem) evaluate(set relation.IDSet, collateral bool) Report {
-	return p.score(func(_ *view.View, ans *cq.Answer) bool { return !view.Survives(ans, set) }, collateral)
+	return p.score(func(v *view.View, pos int) bool { return !view.Survives(v.Result, pos, set) }, collateral)
 }
 
 // evaluateIDs scores the deletion of the given tuple IDs.
@@ -476,15 +490,16 @@ func (p *Problem) evaluateIDs(ids []relation.TID) Report {
 	return rep
 }
 
-// score tallies the objective given which view tuples a deletion
-// destroys.
-func (p *Problem) score(destroyed func(*view.View, *cq.Answer) bool, collateral bool) Report {
+// score tallies the objective given which view tuples (view, answer
+// position) a deletion destroys.
+func (p *Problem) score(destroyed func(*view.View, int) bool, collateral bool) Report {
 	var rep Report
 	p.requested()
 	removedRequested := 0
+	var collateralIDs []int
 	for _, v := range p.Views {
-		for pos, ans := range v.Result.Answers() {
-			if !destroyed(v, ans) {
+		for pos := range v.Result.NumAnswers() {
+			if !destroyed(v, pos) {
 				continue
 			}
 			id := v.Offset + pos
@@ -493,10 +508,13 @@ func (p *Problem) score(destroyed func(*view.View, *cq.Answer) bool, collateral 
 				continue
 			}
 			if collateral {
-				rep.Collateral = append(rep.Collateral, view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+				collateralIDs = append(collateralIDs, id)
 			}
 			rep.SideEffect += p.weight(id)
 		}
+	}
+	if len(collateralIDs) > 0 {
+		rep.Collateral = view.Refs(p.Views, collateralIDs)
 	}
 	rep.BadRemaining = p.Delta.Len() - removedRequested
 	rep.Feasible = rep.BadRemaining == 0
@@ -517,7 +535,7 @@ func (p *Problem) EvaluateByReevaluation(sol *Solution) (Report, error) {
 		}
 		after[i] = res
 	}
-	rep := p.score(func(v *view.View, ans *cq.Answer) bool { return !after[v.Index].Contains(ans.Tuple) }, true)
+	rep := p.score(func(v *view.View, pos int) bool { return !after[v.Index].Contains(v.Result.Head(pos)) }, true)
 	rep.DeletedCount = len(sol.Deleted)
 	return rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"delprop/internal/cq"
 	"delprop/internal/flow"
 	"delprop/internal/relation"
-	"delprop/internal/view"
 )
 
 // This file implements resilience (Freire et al., cited for the Table
@@ -44,8 +43,9 @@ func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, er
 	rightIdx := make(map[relation.TID]int)
 	var leftIDs, rightIDs []relation.TID
 	var edges [][2]int
-	for _, ans := range res.Answers() {
-		for _, d := range ans.Derivations {
+	for i := range res.NumAnswers() {
+		for k := range res.NumDerivations(i) {
+			d := res.Derivation(i, k)
 			l, r := d[0], d[1]
 			li, ok := leftIdx[l]
 			if !ok {
@@ -86,8 +86,9 @@ func resilienceExact(ctx context.Context, q *cq.Query, db *relation.Instance, ma
 	if err != nil {
 		return 0, nil, err
 	}
-	for _, ans := range p.Views[0].Result.Answers() {
-		p.Delta.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
+	v := p.Views[0]
+	for i := range v.Result.NumAnswers() {
+		p.Delta.Add(v.Ref(i))
 	}
 	if p.Delta.Len() == 0 {
 		return 0, &Solution{}, nil

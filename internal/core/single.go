@@ -30,16 +30,20 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 		return nil, err
 	}
 	ref := p.Delta.Refs()[0]
-	ans, ok := p.Answer(ref)
-	if !ok || len(ans.Derivations) != 1 {
-		return nil, fmt.Errorf("core: requested view tuple %s has %d derivations, want 1", ref, len(ans.Derivations))
+	res, pos, ok := p.locate(ref)
+	n := 0
+	if ok {
+		n = res.NumDerivations(pos)
+	}
+	if n != 1 {
+		return nil, fmt.Errorf("core: requested view tuple %s has %d derivations, want 1", ref, n)
 	}
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
 	// Canonical order makes the tie-break between equally cheap tuples
 	// deterministic.
-	path := append([]relation.TID(nil), view.Distinct(ans.Derivations[0])...)
+	path := append([]relation.TID(nil), view.Distinct(res.Derivation(pos, 0))...)
 	p.sortTuples(path)
 	for _, t := range path {
 		st.Checkpoint()

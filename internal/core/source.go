@@ -78,9 +78,10 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		if ref < 0 {
 			continue
 		}
-		for _, d := range p.answer(ref).Derivations {
+		res, pos := p.answer(ref)
+		for k := range res.NumDerivations(pos) {
 			var path []int
-			for _, t := range view.Distinct(d) {
+			for _, t := range view.Distinct(res.Derivation(pos, k)) {
 				path = append(path, idx[t])
 			}
 			sort.Ints(path)
@@ -219,8 +220,9 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		if ref < 0 {
 			continue
 		}
-		for _, d := range p.answer(ref).Derivations {
-			paths = append(paths, &path{tuples: d})
+		res, pos := p.answer(ref)
+		for k := range res.NumDerivations(pos) {
+			paths = append(paths, &path{tuples: res.Derivation(pos, k)})
 		}
 	}
 	st := StatsFrom(ctx)
@@ -289,13 +291,13 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 	}
 	if p.Delta.Len() == 1 {
 		ref := p.Delta.Refs()[0]
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) != 1 {
+		res, pos, ok := p.locate(ref)
+		if !ok || res.NumDerivations(pos) != 1 {
 			return nil, fmt.Errorf("core: unexpected provenance for %s", ref)
 		}
 		// Any single tuple of the path is optimal (cost 1); take the
 		// first in canonical order so the answer is deterministic.
-		if path := append([]relation.TID(nil), view.Distinct(ans.Derivations[0])...); len(path) > 0 {
+		if path := append([]relation.TID(nil), view.Distinct(res.Derivation(pos, 0))...); len(path) > 0 {
 			p.sortTuples(path)
 			return p.solution(path[:1]), nil
 		}

@@ -54,7 +54,7 @@ func (u *Unidimensional) Applicable(p *Problem) error {
 	if !props[0].HeadDomination {
 		return ErrNotHeadDominated
 	}
-	if _, ok := p.Answer(p.Delta.Refs()[0]); !ok {
+	if _, _, ok := p.locate(p.Delta.Refs()[0]); !ok {
 		return fmt.Errorf("core: %s is not a view tuple", p.Delta.Refs()[0])
 	}
 	return nil
@@ -66,8 +66,7 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		return nil, err
 	}
 	q := p.Queries[0]
-	ref := p.Delta.Refs()[0]
-	ans, _ := p.Answer(ref)
+	res, pos, _ := p.locate(p.Delta.Refs()[0])
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
@@ -81,8 +80,8 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		// matches in a derivation of the requested answer.
 		var seen relation.IDSet
 		var del []relation.TID
-		for _, d := range ans.Derivations {
-			if t := d[ai]; !seen.Has(t) {
+		for k := range res.NumDerivations(pos) {
+			if t := res.Derivation(pos, k)[ai]; !seen.Has(t) {
 				seen.Add(t)
 				del = append(del, t)
 			}

@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"delprop/internal/relation"
@@ -25,28 +26,45 @@ func (d Derivation) Format(db *relation.Instance) string {
 	return strings.Join(parts, " ⋈ ")
 }
 
-// Answer is one view tuple: a head tuple together with every derivation
-// producing it. For key-preserving queries each answer has exactly one
-// derivation (the keys in the head pin down every joined base tuple); for
-// general queries there may be several.
+// Answer is a snapshot of one view tuple: its head tuple together with
+// every derivation producing it. For key-preserving queries each answer
+// has exactly one derivation (the keys in the head pin down every joined
+// base tuple); for general queries there may be several. Results do not
+// store answers; Result.Answer builds one on demand.
 type Answer struct {
 	Tuple       relation.Tuple
 	Derivations []Derivation
 }
 
 // Result is the materialized result of evaluating a query: Q(D) plus
-// provenance.
+// provenance, stored in columns. Answers are numbered from 0 in
+// first-derived order. Their derivations lie back to back in one array,
+// each as wide as the query body, answer after answer and in derivation
+// order within an answer. Head values are not stored: they are read
+// through the answer's first derivation.
 type Result struct {
 	Query *Query
 	// DB is the instance the query was evaluated over; the derivations
 	// hold its tuple IDs.
-	DB      *relation.Instance
-	answers []*Answer
+	DB *relation.Instance
+	// head[i] is where head position i is read in a derivation: the body
+	// atom and term position binding its variable.
+	head  []source
+	width int // body length
+	tids  []relation.TID
+	// starts[i] is the number of derivations before answer i's, with a
+	// last entry for the total. It is nil when every answer has exactly
+	// one derivation, as for key-preserving queries: answer i's is then
+	// derivation i.
+	starts []int32
 	// index is an open-addressing table of answer positions plus one (0
 	// marks a free slot), probed from the hash of a head tuple's
 	// encoding; its size is a power of two at least twice the answers.
 	index []int32
 }
+
+// source locates a value in a derivation: body atom and term position.
+type source struct{ atom, pos int }
 
 // hashSeed keys the answer index; hashes never leave the process.
 var hashSeed = maphash.MakeSeed()
@@ -74,27 +92,75 @@ func (r *Result) insert(h uint64, a int32) {
 }
 
 // NumAnswers returns |Q(D)|.
-func (r *Result) NumAnswers() int { return len(r.answers) }
+func (r *Result) NumAnswers() int {
+	if r.starts != nil {
+		return len(r.starts) - 1
+	}
+	return len(r.tids) / r.width
+}
 
-// Answers returns all answers in first-derived order. The slice is shared
-// and must not be mutated.
-func (r *Result) Answers() []*Answer { return r.answers[:len(r.answers):len(r.answers)] }
+// TotalDerivations returns the number of derivations of all answers.
+func (r *Result) TotalDerivations() int { return len(r.tids) / r.width }
 
-// Position returns the index of the head tuple's answer in Answers.
+// firstDerivation returns the number of the derivations before answer
+// i's.
+func (r *Result) firstDerivation(i int) int {
+	if r.starts != nil {
+		return int(r.starts[i])
+	}
+	return i
+}
+
+// NumDerivations returns the number of derivations of answer i.
+func (r *Result) NumDerivations(i int) int {
+	if r.starts != nil {
+		return int(r.starts[i+1] - r.starts[i])
+	}
+	return 1
+}
+
+// Derivation returns derivation k of answer i. It shares the result's
+// storage and must not be mutated; its capacity is capped, so appending
+// to it copies.
+func (r *Result) Derivation(i, k int) Derivation {
+	off := (r.firstDerivation(i) + k) * r.width
+	return Derivation(r.tids[off : off+r.width : off+r.width])
+}
+
+// HeadValue returns position pos of answer i's head tuple.
+func (r *Result) HeadValue(i, pos int) relation.Value {
+	src := r.head[pos]
+	return r.DB.ByID(r.tids[r.firstDerivation(i)*r.width+src.atom]).Tuple[src.pos]
+}
+
+// Head returns answer i's head tuple, freshly allocated.
+func (r *Result) Head(i int) relation.Tuple {
+	t := make(relation.Tuple, len(r.head))
+	for pos := range t {
+		t[pos] = r.HeadValue(i, pos)
+	}
+	return t
+}
+
+// sameHead reports whether answer i's head tuple is t.
+func (r *Result) sameHead(i int, t relation.Tuple) bool {
+	if len(t) != len(r.head) {
+		return false
+	}
+	for pos, v := range t {
+		if r.HeadValue(i, pos) != v {
+			return false
+		}
+	}
+	return true
+}
+
+// Position returns the number of the answer with the given head tuple.
 func (r *Result) Position(t relation.Tuple) (int, bool) {
 	var buf [128]byte
 	h := maphash.Bytes(hashSeed, t.AppendEncode(buf[:0]))
-	i := r.find(h, func(i int32) bool { return r.answers[i].Tuple.Equal(t) })
+	i := r.find(h, func(i int32) bool { return r.sameHead(int(i), t) })
 	return int(i), i >= 0
-}
-
-// Lookup returns the answer for the given head tuple, if present.
-func (r *Result) Lookup(t relation.Tuple) (*Answer, bool) {
-	i, ok := r.Position(t)
-	if !ok {
-		return nil, false
-	}
-	return r.answers[i], true
 }
 
 // Contains reports whether the head tuple is an answer.
@@ -103,20 +169,51 @@ func (r *Result) Contains(t relation.Tuple) bool {
 	return ok
 }
 
+// Answer returns a snapshot of answer i; the derivations share the
+// result's storage. It allocates, so the solve path reads the result
+// through the positional accessors instead.
+func (r *Result) Answer(i int) Answer {
+	a := Answer{Tuple: r.Head(i), Derivations: make([]Derivation, r.NumDerivations(i))}
+	for k := range a.Derivations {
+		a.Derivations[k] = r.Derivation(i, k)
+	}
+	return a
+}
+
+// Answers returns a snapshot of every answer in first-derived order,
+// built on each call; see Answer.
+func (r *Result) Answers() []Answer {
+	out := make([]Answer, r.NumAnswers())
+	for i := range out {
+		out[i] = r.Answer(i)
+	}
+	return out
+}
+
+// Lookup returns a snapshot of the answer with the given head tuple, if
+// present; see Answer.
+func (r *Result) Lookup(t relation.Tuple) (Answer, bool) {
+	i, ok := r.Position(t)
+	if !ok {
+		return Answer{}, false
+	}
+	return r.Answer(i), true
+}
+
 // Tuples returns the answer tuples in first-derived order.
 func (r *Result) Tuples() []relation.Tuple {
-	out := make([]relation.Tuple, len(r.answers))
-	for i, a := range r.answers {
-		out[i] = a.Tuple
+	out := make([]relation.Tuple, r.NumAnswers())
+	for i := range out {
+		out[i] = r.Head(i)
 	}
 	return out
 }
 
 // String renders the result sorted, for golden tests.
 func (r *Result) String() string {
-	lines := make([]string, 0, len(r.answers))
-	for _, a := range r.answers {
-		lines = append(lines, a.Tuple.String())
+	lines := make([]string, r.NumAnswers())
+	for i := range lines {
+		lines[i] = r.Head(i).String()
 	}
 	sort.Strings(lines)
 	return r.Query.Name + "(D) = {" + strings.Join(lines, ", ") + "}"
@@ -137,7 +234,7 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 	ev := &evaluator{
 		q:   q,
 		db:  db,
-		res: &Result{Query: q, DB: db, index: make([]int32, 16)},
+		res: &Result{Query: q, DB: db, width: len(q.Body)},
 	}
 	ev.run()
 	return ev.res, nil
@@ -189,10 +286,7 @@ type evaluator struct {
 
 	// Variables are numbered; vals holds the current assignment. The plan
 	// fixes which variables each step binds, so no bound flags are kept.
-	vals []relation.Value
-	// head[i] says where head position i is read: the body atom and term
-	// position binding its variable (atom -1 for a constant).
-	head       []source
+	vals       []relation.Value
 	rels       []*relation.Relation // per body atom
 	steps      []planStep
 	indexes    map[string]*relation.Index // keyed by relation + positions
@@ -200,23 +294,10 @@ type evaluator struct {
 	key        relation.Tuple
 	headBuf    relation.Tuple
 	encBuf     []byte
-	// Answers accumulate as offsets into one growing derivation array:
-	// first[i] is answer i's first derivation in tids, and last[i] its
-	// latest further one in more (-1 for none). finish lays them out in
-	// exact-size arrays, so a retained result holds no spare capacity.
-	tids   []relation.TID
-	first  []int32
-	last   []int32
-	more   []further
-	hashes []uint64 // per answer, to rebuild the index as it grows
+	// tids holds the matches' derivations back to back, in emission
+	// order.
+	tids []relation.TID
 }
-
-// source locates a value in a match: body atom and term position.
-type source struct{ atom, pos int }
-
-// further is an answer's additional derivation (non-key-preserving
-// queries): its offset in tids and the answer's previous one in more.
-type further struct{ off, prev int32 }
 
 // planStep joins one atom. Per position, slot is the variable number (-1
 // for a constant) and bind reports whether this position binds it rather
@@ -260,12 +341,10 @@ func (ev *evaluator) run() {
 		}
 		ev.steps = append(ev.steps, st)
 	}
-	ev.head = make([]source, len(ev.q.Head))
+	// Validate admits only variables in the head.
+	ev.res.head = make([]source, len(ev.q.Head))
 	for i, t := range ev.q.Head {
-		ev.head[i] = source{atom: -1}
-		if t.IsVar() {
-			ev.head[i] = binder[vars[t.Var]]
-		}
+		ev.res.head[i] = binder[vars[t.Var]]
 	}
 	ev.rels = make([]*relation.Relation, len(ev.q.Body))
 	for _, st := range ev.steps {
@@ -339,12 +418,12 @@ func (ev *evaluator) candidates(st *planStep) []relation.TID {
 }
 
 func indexKey(rel string, positions []int) string {
-	var b strings.Builder
-	b.WriteString(rel)
+	b := []byte(rel)
 	for _, p := range positions {
-		fmt.Fprintf(&b, ",%d", p)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // join extends the current partial match with the step-th atom in plan
@@ -384,96 +463,105 @@ func (ev *evaluator) bind(st *planStep, t relation.Tuple) bool {
 	return true
 }
 
-// headValue returns head position i of the answer whose derivation starts
-// at offset off in tids.
-func (ev *evaluator) headValue(off int32, i int) relation.Value {
-	src := ev.head[i]
-	if src.atom < 0 {
-		return ev.q.Head[i].Const
-	}
-	return ev.rels[src.atom].Tuple(ev.tids[int(off)+src.atom])[src.pos]
+// emit records the current complete match. The join visits every
+// assignment of tuples to atoms once, so every match is a new derivation.
+func (ev *evaluator) emit() {
+	ev.tids = append(ev.tids, ev.derivation...)
 }
 
-// emit records the current complete match as an answer + derivation.
-func (ev *evaluator) emit() {
-	for i := range ev.head {
-		if src := ev.head[i]; src.atom >= 0 {
-			ev.headBuf[i] = ev.rels[src.atom].Tuple(ev.derivation[src.atom])[src.pos]
-		} else {
-			ev.headBuf[i] = ev.q.Head[i].Const
-		}
+// headHash returns the hash of derivation d's head tuple, which it leaves
+// in headBuf.
+func (ev *evaluator) headHash(d Derivation) uint64 {
+	for i, src := range ev.res.head {
+		ev.headBuf[i] = ev.rels[src.atom].Tuple(d[src.atom])[src.pos]
 	}
 	ev.encBuf = ev.headBuf.AppendEncode(ev.encBuf[:0])
-	h := maphash.Bytes(hashSeed, ev.encBuf)
-	res := ev.res
-	pos := res.find(h, func(a int32) bool {
-		for i, v := range ev.headBuf {
-			if ev.headValue(ev.first[a], i) != v {
-				return false
-			}
-		}
-		return true
-	})
-	n := int32(len(ev.derivation))
-	if pos >= 0 {
-		// Distinct matches always produce distinct derivations for safe
-		// queries, but self-joins can revisit the same derivation via
-		// symmetric variable roles; dedupe defensively.
-		if f := ev.first[pos]; slices.Equal(ev.tids[f:f+n], ev.derivation) {
-			return
-		}
-		for k := ev.last[pos]; k >= 0; k = ev.more[k].prev {
-			if off := ev.more[k].off; slices.Equal(ev.tids[off:off+n], ev.derivation) {
-				return
-			}
-		}
-	}
-	off := int32(len(ev.tids))
-	ev.tids = append(ev.tids, ev.derivation...)
-	if pos >= 0 {
-		ev.more = append(ev.more, further{off: off, prev: ev.last[pos]})
-		ev.last[pos] = int32(len(ev.more) - 1)
-		return
-	}
-	if 2*(len(ev.first)+1) > len(res.index) {
-		res.index = make([]int32, 2*len(res.index))
-		for a, ha := range ev.hashes {
-			res.insert(ha, int32(a))
-		}
-	}
-	res.insert(h, int32(len(ev.first)))
-	ev.hashes = append(ev.hashes, h)
-	ev.first = append(ev.first, off)
-	ev.last = append(ev.last, -1)
+	return maphash.Bytes(hashSeed, ev.encBuf)
 }
 
-// finish lays the answers out in exact-size arrays, derivations in
-// emission order.
+// finish numbers the answers in first-derived order, filing each head in
+// the index once, and stores the derivations in an exact-size array,
+// grouped by answer when some answer has several.
 func (ev *evaluator) finish() {
-	hl, n := len(ev.q.Head), len(ev.q.Body)
-	tids := slices.Clone(ev.tids)
-	heads := make([]relation.Value, len(ev.first)*hl)
-	derivs := make([]Derivation, 0, len(ev.first)+len(ev.more))
-	answers := make([]Answer, len(ev.first))
 	res := ev.res
-	res.answers = make([]*Answer, len(ev.first))
-	var chain []int32
-	for a, f := range ev.first {
-		ans := &answers[a]
-		ans.Tuple = heads[a*hl : (a+1)*hl : (a+1)*hl]
-		for i := range ans.Tuple {
-			ans.Tuple[i] = ev.headValue(f, i)
+	w := res.width
+	nd := len(ev.tids) / w
+	derivation := func(k int) Derivation { return ev.tids[k*w : (k+1)*w] }
+	// Sized for one answer per derivation, the index never grows.
+	res.index = make([]int32, indexSize(nd))
+	// Until some answer has a second derivation, answer a's is derivation
+	// a; from then on owner[k] is derivation k's answer and first[a]
+	// answer a's first derivation.
+	var owner, first []int32
+	answers := int32(0)
+	for k := range nd {
+		h := ev.headHash(derivation(k))
+		a := res.find(h, func(a int32) bool {
+			if first != nil {
+				a = first[a]
+			}
+			d := derivation(int(a))
+			for i, src := range res.head {
+				if ev.rels[src.atom].Tuple(d[src.atom])[src.pos] != ev.headBuf[i] {
+					return false
+				}
+			}
+			return true
+		})
+		switch {
+		case a < 0:
+			a = answers
+			answers++
+			res.insert(h, a)
+			if owner != nil {
+				first = append(first, int32(k))
+			}
+		case owner == nil:
+			owner, first = iota(k), iota(int(answers))
 		}
-		chain = append(chain[:0], f)
-		for k := ev.last[a]; k >= 0; k = ev.more[k].prev {
-			chain = append(chain, ev.more[k].off)
+		if owner != nil {
+			owner = append(owner, a)
 		}
-		slices.Reverse(chain[1:])
-		start := len(derivs)
-		for _, off := range chain {
-			derivs = append(derivs, Derivation(tids[off:int(off)+n:int(off)+n]))
-		}
-		ans.Derivations = derivs[start:len(derivs):len(derivs)]
-		res.answers[a] = ans
 	}
+	if owner == nil {
+		res.tids = slices.Clone(ev.tids)
+		return
+	}
+	res.starts = make([]int32, answers+1)
+	for _, a := range owner {
+		res.starts[a+1]++
+	}
+	for a := range answers {
+		res.starts[a+1] += res.starts[a]
+	}
+	next := slices.Clone(res.starts[:answers])
+	res.tids = make([]relation.TID, len(ev.tids))
+	for k, a := range owner {
+		copy(res.tids[int(next[a])*w:], derivation(k))
+		next[a]++
+	}
+	// Refile the heads in an index sized for the answers.
+	res.index = make([]int32, indexSize(int(answers)))
+	for a := range int(answers) {
+		res.insert(ev.headHash(res.Derivation(a, 0)), int32(a))
+	}
+}
+
+// indexSize returns the answer index size for n answers: a power of two,
+// at least 16 and at least 2n.
+func indexSize(n int) int {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// iota returns 0, 1, ..., n-1.
+func iota(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }

@@ -163,12 +163,8 @@ func EvaluateYannakakis(q *Query, db *relation.Instance) (*Result, error) {
 		return nil, err
 	}
 	// Report provenance in db's IDs, like Evaluate over db would.
-	for _, ans := range res.answers {
-		for _, d := range ans.Derivations {
-			for i, id := range d {
-				d[i], _ = db.ID(reduced.ByID(id))
-			}
-		}
+	for i, id := range res.tids {
+		res.tids[i], _ = db.ID(reduced.ByID(id))
 	}
 	res.DB = db
 	return res, nil

@@ -38,16 +38,15 @@ func (w Witness) String() string {
 // Why returns the why-provenance of a view tuple: one witness per
 // derivation. For key-preserving queries there is exactly one witness.
 func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
-	ans, err := lookup(views, ref)
+	res, i, err := lookup(views, ref)
 	if err != nil {
 		return nil, err
 	}
-	db := views[ref.View].Result.DB
-	out := make([]Witness, 0, len(ans.Derivations))
-	for _, d := range ans.Derivations {
+	out := make([]Witness, 0, res.NumDerivations(i))
+	for k := range res.NumDerivations(i) {
 		var w Witness
-		for _, t := range view.Distinct(d) {
-			w = append(w, db.ByID(t))
+		for _, t := range view.Distinct(res.Derivation(i, k)) {
+			w = append(w, res.DB.ByID(t))
 		}
 		sort.Slice(w, func(i, j int) bool { return w[i].Key() < w[j].Key() })
 		out = append(out, w)
@@ -74,7 +73,7 @@ func (c Cell) String() string {
 // derivations. Output positions holding head constants have empty
 // where-provenance.
 func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
-	ans, err := lookup(views, ref)
+	res, i, err := lookup(views, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -86,16 +85,16 @@ func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 	if !head.IsVar() {
 		return nil, nil
 	}
-	db := views[ref.View].Result.DB
 	seen := make(map[string]Cell)
-	for _, d := range ans.Derivations {
+	for k := range res.NumDerivations(i) {
+		d := res.Derivation(i, k)
 		// The derivation holds one base tuple per body atom, in body
 		// order; the head variable's occurrences in atoms give the source
 		// positions.
 		for ai, atom := range q.Body {
 			for p, term := range atom.Terms {
 				if term.IsVar() && term.Var == head.Var {
-					c := Cell{Tuple: db.ByID(d[ai]), Position: p}
+					c := Cell{Tuple: res.DB.ByID(d[ai]), Position: p}
 					seen[c.String()] = c
 				}
 			}
@@ -171,20 +170,22 @@ func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
 	idx := view.BuildInvertedIndex(views)
 	var out []view.TupleRef
 	for _, occ := range idx.Occurrences(t) {
-		ref, _ := view.Resolve(views, int(occ.Ref))
-		out = append(out, ref)
+		out = append(out, view.Resolve(views, int(occ.Ref)))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
-func lookup(views []*view.View, ref view.TupleRef) (*cq.Answer, error) {
+// lookup returns the result holding the view tuple and its answer
+// position there.
+func lookup(views []*view.View, ref view.TupleRef) (*cq.Result, int, error) {
 	if ref.View < 0 || ref.View >= len(views) {
-		return nil, fmt.Errorf("%w: view %d", ErrUnknown, ref.View)
+		return nil, 0, fmt.Errorf("%w: view %d", ErrUnknown, ref.View)
 	}
-	ans, ok := views[ref.View].Result.Lookup(ref.Tuple)
+	res := views[ref.View].Result
+	i, ok := res.Position(ref.Tuple)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, ref)
+		return nil, 0, fmt.Errorf("%w: %s", ErrUnknown, ref)
 	}
-	return ans, nil
+	return res, i, nil
 }

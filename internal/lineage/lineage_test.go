@@ -171,7 +171,7 @@ func TestWhyAgreesWithDeletionSemantics(t *testing.T) {
 	views := fig1Views(t)
 	ref := view.TupleRef{View: 0, Tuple: tup("John", "XML")}
 	why, _ := Why(views, ref)
-	ans, _ := views[0].Result.Lookup(ref.Tuple)
+	pos, _ := views[0].Result.Position(ref.Tuple)
 	// Remove first witness only: survives.
 	ids := func(w []relation.TupleID) relation.IDSet {
 		var s relation.IDSet
@@ -181,7 +181,7 @@ func TestWhyAgreesWithDeletionSemantics(t *testing.T) {
 		}
 		return s
 	}
-	if !view.Survives(ans, ids(why[0])) {
+	if !view.Survives(views[0].Result, pos, ids(why[0])) {
 		t.Error("killing one witness should not kill a two-witness tuple")
 	}
 	// Remove one tuple from every witness: dies.
@@ -189,7 +189,7 @@ func TestWhyAgreesWithDeletionSemantics(t *testing.T) {
 	for _, w := range why {
 		cut = append(cut, w[0])
 	}
-	if view.Survives(ans, ids(cut)) {
+	if view.Survives(views[0].Result, pos, ids(cut)) {
 		t.Error("cutting every witness should kill the tuple")
 	}
 }

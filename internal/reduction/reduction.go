@@ -15,7 +15,6 @@ import (
 	"delprop/internal/cq"
 	"delprop/internal/relation"
 	"delprop/internal/setcover"
-	"delprop/internal/view"
 )
 
 // ErrElementUncovered is returned when some element belongs to no set; the
@@ -123,20 +122,17 @@ func FromRedBlue(inst *setcover.Instance) (*VSEInstance, error) {
 	}
 	// ΔV: the single view tuple of every blue view.
 	for b := 0; b < inst.NumBlue; b++ {
-		vi := out.BlueView[b]
-		answers := p.Views[vi].Result.Answers()
-		if len(answers) != 1 {
-			return nil, fmt.Errorf("reduction: blue view %d has %d answers, want 1", b, len(answers))
+		v := p.Views[out.BlueView[b]]
+		if n := v.Result.NumAnswers(); n != 1 {
+			return nil, fmt.Errorf("reduction: blue view %d has %d answers, want 1", b, n)
 		}
-		p.Delta.Add(view.TupleRef{View: vi, Tuple: answers[0].Tuple})
+		p.Delta.Add(v.Ref(0))
 	}
 	// Red weights become preservation weights.
 	if inst.RedWeights != nil {
 		for r := 0; r < inst.NumRed; r++ {
-			vi := out.RedView[r]
-			answers := p.Views[vi].Result.Answers()
-			if len(answers) == 1 {
-				p.SetWeight(view.TupleRef{View: vi, Tuple: answers[0].Tuple}, inst.RedWeight(r))
+			if v := p.Views[out.RedView[r]]; v.Result.NumAnswers() == 1 {
+				p.SetWeight(v.Ref(0), inst.RedWeight(r))
 			}
 		}
 	}

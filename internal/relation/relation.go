@@ -408,9 +408,10 @@ func (r *Relation) cloneInto(a *arena) *Relation {
 	}
 }
 
-// idTable is an open-addressing hash set of tuple IDs. A slot holds 0
-// when free, 1 when its entry was removed, and otherwise the ID plus 2;
-// the table is a power of two at least twice its used slots.
+// idTable is an open-addressing hash set of tuple IDs (or, in an Index,
+// key numbers). A slot holds 0 when free, 1 when its entry was removed,
+// and otherwise the ID plus 2; the table is a power of two at least twice
+// its used slots.
 type idTable struct {
 	slots []uint32
 	used  int // slots not free

@@ -27,20 +27,25 @@ type Oracle func(p *core.Problem, ref view.TupleRef) bool
 // a view tuple is wrong iff some derivation touches a corrupt tuple. The
 // returned set is shared; deleting tuples from it updates the oracle.
 func PlantedOracle(corrupt map[string]bool) Oracle {
-	return func(p *core.Problem, ref view.TupleRef) bool {
-		ans, ok := p.Answer(ref)
-		if !ok {
-			return false
-		}
-		for _, d := range ans.Derivations {
-			for _, t := range d {
-				if corrupt[p.DB.ByID(t).Key()] {
-					return true
-				}
-			}
-		}
+	return func(p *core.Problem, ref view.TupleRef) bool { return touches(p, ref, corrupt) }
+}
+
+// touches reports whether some derivation of the view tuple holds a
+// tuple whose key is in keys.
+func touches(p *core.Problem, ref view.TupleRef, keys map[string]bool) bool {
+	id, ok := view.RefID(p.Views, ref)
+	if !ok {
 		return false
 	}
+	v, pos := view.Locate(p.Views, id)
+	for k := range v.Result.NumDerivations(pos) {
+		for _, t := range v.Result.Derivation(pos, k) {
+			if keys[p.DB.ByID(t).Key()] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // FDOracle builds an oracle from functional dependencies: a view tuple is
@@ -71,18 +76,7 @@ func FDOracle(attrFDs map[string]*fd.Set) Oracle {
 		if len(bad) == 0 {
 			return false
 		}
-		ans, ok := p.Answer(ref)
-		if !ok {
-			return false
-		}
-		for _, d := range ans.Derivations {
-			for _, t := range d {
-				if bad[p.DB.ByID(t).Key()] {
-					return true
-				}
-			}
-		}
-		return false
+		return touches(p, ref, bad)
 	}
 }
 
@@ -140,8 +134,8 @@ func (s *Session) wrongRefs() (*core.Problem, []view.TupleRef, error) {
 	}
 	var wrong []view.TupleRef
 	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
+		for pos := range v.Result.NumAnswers() {
+			ref := v.Ref(pos)
 			if s.Oracle(p, ref) {
 				wrong = append(wrong, ref)
 			}

@@ -52,9 +52,11 @@ func NewMaintainer(views []*View) *Maintainer {
 	// Two passes over the provenance: count each tuple's occurrences,
 	// then fill the compressed rows in (ref, derivation) order.
 	for _, v := range views {
-		for pos, ans := range v.Result.Answers() {
-			pv.derivs[v.Offset+pos] = int32(len(ans.Derivations))
-			for _, d := range ans.Derivations {
+		res := v.Result
+		for pos := range res.NumAnswers() {
+			pv.derivs[v.Offset+pos] = int32(res.NumDerivations(pos))
+			for k := range res.NumDerivations(pos) {
+				d := res.Derivation(pos, k)
 				for i, id := range d {
 					if !slices.Contains(d[:i], id) {
 						pv.occStart[id+1]++
@@ -67,10 +69,17 @@ func NewMaintainer(views []*View) *Maintainer {
 		pv.occStart[t] += pv.occStart[t-1]
 	}
 	pv.occDeriv = make([]int32, pv.occStart[nt])
+	nd := 0
+	for _, v := range views {
+		nd += v.Result.TotalDerivations()
+	}
+	pv.derivRef = make([]int32, 0, nd)
 	fill := append([]int32(nil), pv.occStart[:nt]...)
 	for _, v := range views {
-		for pos, ans := range v.Result.Answers() {
-			for _, d := range ans.Derivations {
+		res := v.Result
+		for pos := range res.NumAnswers() {
+			for k := range res.NumDerivations(pos) {
+				d := res.Derivation(pos, k)
 				g := int32(len(pv.derivRef))
 				pv.derivRef = append(pv.derivRef, int32(v.Offset+pos))
 				for i, id := range d {

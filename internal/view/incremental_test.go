@@ -11,7 +11,7 @@ import (
 
 // ref renders a ref ID as its view tuple.
 func ref(views []*View, id int) string {
-	r, _ := Resolve(views, id)
+	r := Resolve(views, id)
 	return r.Tuple.String()
 }
 

@@ -33,8 +33,8 @@ func TestSurvivesAntiMonotone(t *testing.T) {
 		large = append(large, small...)
 		smallSet, largeSet := idSet(db, small), idSet(db, large)
 		for _, v := range views {
-			for _, ans := range v.Result.Answers() {
-				if !Survives(ans, smallSet) && Survives(ans, largeSet) {
+			for pos := range v.Result.Answers() {
+				if !Survives(v.Result, pos, smallSet) && Survives(v.Result, pos, largeSet) {
 					return false
 				}
 			}
@@ -105,8 +105,8 @@ func TestSideEffectPartition(t *testing.T) {
 		set := idSet(db, ids)
 		dead := 0
 		for _, v := range views {
-			for _, ans := range v.Result.Answers() {
-				if !Survives(ans, set) {
+			for pos := range v.Result.Answers() {
+				if !Survives(v.Result, pos, set) {
 					dead++
 				}
 			}

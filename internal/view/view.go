@@ -50,6 +50,12 @@ func Materialize(queries []*cq.Query, db *relation.Instance) ([]*View, error) {
 	return out, nil
 }
 
+// Ref returns the view tuple at answer position pos; its tuple is freshly
+// allocated.
+func (v *View) Ref(pos int) TupleRef {
+	return TupleRef{View: v.Index, Tuple: v.Result.Head(pos)}
+}
+
 // TupleRef identifies one view tuple within the multi-view problem.
 type TupleRef struct {
 	View  int
@@ -84,12 +90,40 @@ func RefID(views []*View, ref TupleRef) (int, bool) {
 	return v.Offset + pos, ok
 }
 
-// Resolve returns the view tuple with the given ref ID and its answer.
-func Resolve(views []*View, id int) (TupleRef, *cq.Answer) {
+// Locate returns the view holding the view tuple with the given ref ID
+// and the tuple's answer position in that view's result.
+func Locate(views []*View, id int) (*View, int) {
 	vi := sort.Search(len(views), func(i int) bool { return views[i].Offset > id }) - 1
-	v := views[vi]
-	ans := v.Result.Answers()[id-v.Offset]
-	return TupleRef{View: v.Index, Tuple: ans.Tuple}, ans
+	return views[vi], id - views[vi].Offset
+}
+
+// Resolve returns the view tuple with the given ref ID.
+func Resolve(views []*View, id int) TupleRef {
+	v, pos := Locate(views, id)
+	return v.Ref(pos)
+}
+
+// Refs returns the view tuples with the given ref IDs, in order. Their
+// tuples share one freshly allocated array.
+func Refs(views []*View, ids []int) []TupleRef {
+	out := make([]TupleRef, len(ids))
+	n := 0
+	for _, id := range ids {
+		v, _ := Locate(views, id)
+		n += v.Query.Arity()
+	}
+	vals := make(relation.Tuple, n)
+	for i, id := range ids {
+		v, pos := Locate(views, id)
+		w := v.Query.Arity()
+		t := vals[:w:w]
+		vals = vals[w:]
+		for j := range t {
+			t[j] = v.Result.HeadValue(pos, j)
+		}
+		out[i] = TupleRef{View: v.Index, Tuple: t}
+	}
+	return out
 }
 
 // Deletion is the request ΔV: for each view, the set of view tuples to
@@ -247,15 +281,15 @@ func MaxArity(views []*View) int {
 	return l
 }
 
-// Survives reports whether the answer still holds once the tuples in
-// deleted are removed from the source: at least one derivation must avoid
-// every deleted tuple. For key-preserving queries there is exactly one
-// derivation, so this degenerates to "no tuple of the join path is
+// Survives reports whether answer i of res still holds once the tuples
+// in deleted are removed from the source: at least one derivation must
+// avoid every deleted tuple. For key-preserving queries there is exactly
+// one derivation, so this degenerates to "no tuple of the join path is
 // deleted".
-func Survives(ans *cq.Answer, deleted relation.IDSet) bool {
-	for _, d := range ans.Derivations {
+func Survives(res *cq.Result, i int, deleted relation.IDSet) bool {
+	for k := range res.NumDerivations(i) {
 		hit := false
-		for _, id := range d {
+		for _, id := range res.Derivation(i, k) {
 			if deleted.Has(id) {
 				hit = true
 				break
@@ -324,9 +358,12 @@ func BuildInvertedIndex(views []*View) *InvertedIndex {
 	var touched []relation.TID
 	scan := func(yield func(relation.TID, Occurrence)) {
 		for _, v := range views {
-			for pos, ans := range v.Result.Answers() {
+			res := v.Result
+			for pos := range res.NumAnswers() {
 				touched = touched[:0]
-				for _, d := range ans.Derivations {
+				total := res.NumDerivations(pos)
+				for k := range total {
+					d := res.Derivation(pos, k)
 					for i, id := range d {
 						if slices.Contains(d[:i], id) {
 							continue
@@ -337,9 +374,8 @@ func BuildInvertedIndex(views []*View) *InvertedIndex {
 						count[id]++
 					}
 				}
-				total := int32(len(ans.Derivations))
 				for _, id := range touched {
-					yield(id, Occurrence{Ref: int32(v.Offset + pos), Critical: count[id] == total})
+					yield(id, Occurrence{Ref: int32(v.Offset + pos), Critical: int(count[id]) == total})
 					count[id] = 0
 				}
 			}

@@ -50,8 +50,8 @@ func rid(views []*View, ref TupleRef) int {
 func sideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (requested, collateral []TupleRef) {
 	set := idSet(views[0].Result.DB, deleted)
 	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			if Survives(ans, set) {
+		for pos, ans := range v.Result.Answers() {
+			if Survives(v.Result, pos, set) {
 				continue
 			}
 			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
@@ -165,23 +165,23 @@ func TestSurvives(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
 	res := views[0].Result
-	johnXML, _ := res.Lookup(tup("John", "XML"))
+	johnXML, _ := res.Position(tup("John", "XML"))
 	// John/XML has derivations via TKDE and TODS; killing only TKDE leaves
 	// the TODS derivation alive.
 	del := idSet(db, []relation.TupleID{{Relation: "T1", Tuple: tup("John", "TKDE")}})
-	if !Survives(johnXML, del) {
+	if !Survives(res, johnXML, del) {
 		t.Error("John/XML should survive deleting T1(John,TKDE)")
 	}
 	del2 := idSet(db, []relation.TupleID{
 		{Relation: "T1", Tuple: tup("John", "TKDE")},
 		{Relation: "T1", Tuple: tup("John", "TODS")},
 	})
-	if Survives(johnXML, del2) {
+	if Survives(res, johnXML, del2) {
 		t.Error("John/XML should die when both T1 tuples go")
 	}
-	joeXML, _ := res.Lookup(tup("Joe", "XML"))
+	joeXML, _ := res.Position(tup("Joe", "XML"))
 	del3 := idSet(db, []relation.TupleID{{Relation: "T2", Tuple: tup("TKDE", "XML", "30")}})
-	if Survives(joeXML, del3) {
+	if Survives(res, joeXML, del3) {
 		t.Error("Joe/XML should die with T2(TKDE,XML,30)")
 	}
 }
@@ -211,8 +211,8 @@ func TestSurvivesMatchesReEvaluation(t *testing.T) {
 		db2 := db.Without(del)
 		for vi, v := range views {
 			res2 := cq.MustEvaluate(v.Query, db2)
-			for _, ans := range v.Result.Answers() {
-				got := Survives(ans, set)
+			for pos, ans := range v.Result.Answers() {
+				got := Survives(v.Result, pos, set)
 				want := res2.Contains(ans.Tuple)
 				if got != want {
 					t.Fatalf("del=%v view=%d tuple=%v: Survives=%v reeval=%v", del, vi, ans.Tuple, got, want)
@@ -239,7 +239,7 @@ func TestInvertedIndex(t *testing.T) {
 	}
 	crit := map[string]bool{}
 	for _, o := range occ {
-		ref, _ := Resolve(views, int(o.Ref))
+		ref := Resolve(views, int(o.Ref))
 		crit[ref.Tuple.String()] = o.Critical
 	}
 	if !crit["(John,CUBE)"] {

@@ -363,22 +363,17 @@ func PlantedErrors(db *relation.Instance, fraction float64, seed int64) []relati
 // from the materialized views, deterministically from the seed.
 func SampleDeletion(views []*view.View, n int, seed int64) *view.Deletion {
 	rng := rand.New(rand.NewSource(seed))
-	var all []view.TupleRef
-	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			all = append(all, view.TupleRef{View: v.Index, Tuple: ans.Tuple})
-		}
-	}
+	total := view.TotalSize(views)
 	del := view.NewDeletion()
-	if len(all) == 0 {
+	if total == 0 {
 		return del
 	}
-	perm := rng.Perm(len(all))
-	if n > len(all) {
-		n = len(all)
+	perm := rng.Perm(total)
+	if n > total {
+		n = total
 	}
-	for _, i := range perm[:n] {
-		del.Add(all[i])
+	for _, ref := range view.Refs(views, perm[:n]) {
+		del.Add(ref)
 	}
 	return del
 }
@@ -390,8 +385,8 @@ func SampleWeights(views []*view.View, del *view.Deletion, maxW int, seed int64)
 	rng := rand.New(rand.NewSource(seed))
 	out := make(map[string]float64)
 	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
+		for pos := range v.Result.NumAnswers() {
+			ref := v.Ref(pos)
 			if del != nil && del.Contains(ref) {
 				continue
 			}
